@@ -1,28 +1,10 @@
-"""Batched element kernels for P1 tetrahedra and interface triangles.
-
-The hot loops (per-element stiffness and per-triangle mass) exist twice:
-a numba-jitted version and a vectorized pure-numpy fallback.  The numpy
-path is selected either automatically (numba missing) or explicitly by
-setting the environment variable ``EMIBDDC_DISABLE_NUMBA=1`` before
-import.  Both paths produce bit-compatible results up to floating-point
-reassociation; ``benchmarks/bench_kernels.py`` compares their throughput.
-"""
-
-import os
+"""Batched element kernels for P1 tetrahedra and interface triangles."""
 
 import numpy as np
 
 from .errors import AssemblyError
 
-try:  # pragma: no cover - exercised implicitly on import
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("EMIBDDC_DISABLE_NUMBA", "0") != "1"
+HAS_NUMBA = False  # the kernels are plain numpy; kept for provenance reports
 
 
 def _tet_stiffness_numpy(coords, sigma):
@@ -57,82 +39,11 @@ def _tri_mass_numpy(coords):
     return area[:, None, None] * base, area
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _tet_stiffness_jit(coords, sigma):  # pragma: no cover - jitted
-        nt = coords.shape[0]
-        ke = np.empty((nt, 4, 4))
-        vol = np.empty(nt)
-        grads = np.empty((4, 3))
-        for t in range(nt):
-            a11 = coords[t, 1, 0] - coords[t, 0, 0]
-            a12 = coords[t, 1, 1] - coords[t, 0, 1]
-            a13 = coords[t, 1, 2] - coords[t, 0, 2]
-            a21 = coords[t, 2, 0] - coords[t, 0, 0]
-            a22 = coords[t, 2, 1] - coords[t, 0, 1]
-            a23 = coords[t, 2, 2] - coords[t, 0, 2]
-            a31 = coords[t, 3, 0] - coords[t, 0, 0]
-            a32 = coords[t, 3, 1] - coords[t, 0, 1]
-            a33 = coords[t, 3, 2] - coords[t, 0, 2]
-            det = (a11 * (a22 * a33 - a23 * a32)
-                   - a12 * (a21 * a33 - a23 * a31)
-                   + a13 * (a21 * a32 - a22 * a31))
-            vol[t] = det / 6.0
-            # a zero determinant is reported by the caller via vol
-            inv = 1.0 / det if det != 0.0 else 0.0
-            # rows of inv(e)^T = columns of inv(e)
-            grads[1, 0] = (a22 * a33 - a23 * a32) * inv
-            grads[1, 1] = (a23 * a31 - a21 * a33) * inv
-            grads[1, 2] = (a21 * a32 - a22 * a31) * inv
-            grads[2, 0] = (a13 * a32 - a12 * a33) * inv
-            grads[2, 1] = (a11 * a33 - a13 * a31) * inv
-            grads[2, 2] = (a12 * a31 - a11 * a32) * inv
-            grads[3, 0] = (a12 * a23 - a13 * a22) * inv
-            grads[3, 1] = (a13 * a21 - a11 * a23) * inv
-            grads[3, 2] = (a11 * a22 - a12 * a21) * inv
-            for d in range(3):
-                grads[0, d] = -grads[1, d] - grads[2, d] - grads[3, d]
-            w = sigma[t] * vol[t]
-            for i in range(4):
-                for j in range(4):
-                    acc = 0.0
-                    for d in range(3):
-                        acc += grads[i, d] * grads[j, d]
-                    ke[t, i, j] = w * acc
-        return ke, vol
-
-    @numba.njit(cache=True)
-    def _tri_mass_jit(coords):  # pragma: no cover - jitted
-        nt = coords.shape[0]
-        me = np.empty((nt, 3, 3))
-        area = np.empty(nt)
-        for t in range(nt):
-            u0 = coords[t, 1, 0] - coords[t, 0, 0]
-            u1 = coords[t, 1, 1] - coords[t, 0, 1]
-            u2 = coords[t, 1, 2] - coords[t, 0, 2]
-            v0 = coords[t, 2, 0] - coords[t, 0, 0]
-            v1 = coords[t, 2, 1] - coords[t, 0, 1]
-            v2 = coords[t, 2, 2] - coords[t, 0, 2]
-            c0 = u1 * v2 - u2 * v1
-            c1 = u2 * v0 - u0 * v2
-            c2 = u0 * v1 - u1 * v0
-            area[t] = 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
-            w = area[t] / 12.0
-            for i in range(3):
-                for j in range(3):
-                    me[t, i, j] = w * (2.0 if i == j else 1.0)
-        return me, area
-
-
 def tet_stiffness_batch(coords, sigma):
     """Element stiffness for a batch of tets; raises on degenerate cells."""
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     sigma = np.ascontiguousarray(sigma, dtype=np.float64)
-    if USE_NUMBA:
-        ke, vol = _tet_stiffness_jit(coords, sigma)
-    else:
-        ke, vol = _tet_stiffness_numpy(coords, sigma)
+    ke, vol = _tet_stiffness_numpy(coords, sigma)
     if coords.shape[0] and np.min(np.abs(vol)) < 1e-300:
         bad = int(np.argmin(np.abs(vol)))
         raise AssemblyError(f"degenerate tetrahedron at batch index {bad} (zero volume)")
@@ -142,10 +53,7 @@ def tet_stiffness_batch(coords, sigma):
 def tri_mass_batch(coords):
     """Consistent mass matrices for a batch of triangles; rejects slivers."""
     coords = np.ascontiguousarray(coords, dtype=np.float64)
-    if USE_NUMBA:
-        me, area = _tri_mass_jit(coords)
-    else:
-        me, area = _tri_mass_numpy(coords)
+    me, area = _tri_mass_numpy(coords)
     if coords.shape[0] and np.min(area) < 1e-300:
         bad = int(np.argmin(area))
         raise AssemblyError(f"degenerate triangle at batch index {bad} (zero area)")

@@ -16,6 +16,7 @@ error, 2 usage/configuration error.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, EmiBddcError, VerificationError
 from .geometry import build_mesh, extract_interfaces, export_vtk
@@ -138,7 +139,7 @@ def _cmd_mesh(config) -> int:
 
 
 def _cmd_solve(config) -> int:
-    rows = harness.run_solve(config)
+    rows, _ = harness.run_experiment(replace(config, experiment="solve"))
     for row in rows:
         print(
             f"[{row.primal_space}] iterations={row.iterations} "
@@ -193,10 +194,8 @@ def main(argv=None) -> int:
         if args.command == "mesh":
             return _cmd_mesh(config)
         if args.command == "solve":
-            if getattr(args, "maxiter", None) is not None:
-                import dataclasses
-
-                config = dataclasses.replace(config, maxiter=args.maxiter)
+            if args.maxiter is not None:
+                config = replace(config, maxiter=args.maxiter)
             return _cmd_solve(config)
         if args.command == "experiment":
             return _cmd_experiment(config)

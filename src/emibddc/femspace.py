@@ -40,7 +40,6 @@ __all__ = [
     "SubstructureConstraintCounts",
     "build_composite_space",
     "build_primal_constraints",
-    "classify_dofs",
 ]
 
 
@@ -396,11 +395,3 @@ def build_primal_constraints(
     return ConstraintSet(
         variant=variant, classes=tuple(classes), n_substructures=dofmap.n_substructures
     )
-
-
-def classify_dofs(
-    dofmap: DofMap, topo: InterfaceTopology, variant=PrimalVariant.VEF
-) -> list:
-    """Per-substructure counts of hosted face/edge rows and vertex points."""
-    cset = build_primal_constraints(dofmap, topo, variant)
-    return [cset.counts(i) for i in range(dofmap.n_substructures)]

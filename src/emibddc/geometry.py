@@ -21,7 +21,7 @@ Substructure 0 is the connected extracellular medium; substructures
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,10 +34,7 @@ __all__ = [
     "FaceGroup",
     "JunctionEdge",
     "InterfaceTopology",
-    "build_cell_grid",
-    "build_convex_cells",
     "build_mesh",
-    "refine",
     "extract_interfaces",
     "export_vtk",
     "load_vtk",
@@ -196,27 +193,6 @@ def build_mesh(config: MeshConfig) -> Mesh:
 
     sub = np.repeat(_tag_voxels(config), 6)
     return Mesh(config=config, vertices=vertices, tets=tets, tet_sub=sub)
-
-
-def build_cell_grid(config: MeshConfig) -> Mesh:
-    """Mesh of plus-shaped cells stacked in all dimensions."""
-    if config.geometry_kind != "repetitive":
-        raise MeshError("build_cell_grid requires geometry_kind='repetitive'")
-    return build_mesh(config)
-
-
-def build_convex_cells(config: MeshConfig) -> Mesh:
-    """Mesh of isolated convex (inset cube) cells."""
-    if config.geometry_kind != "convex_cells":
-        raise MeshError("build_convex_cells requires geometry_kind='convex_cells'")
-    return build_mesh(config)
-
-
-def refine(mesh: Mesh, levels: int = 1) -> Mesh:
-    """Rebuild the mesh ``levels`` refinement steps deeper (nested vertices)."""
-    if levels < 0:
-        raise MeshError("refinement levels must be >= 0")
-    return build_mesh(replace(mesh.config, refinement=mesh.config.refinement + levels))
 
 
 @dataclass(frozen=True)

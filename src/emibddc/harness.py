@@ -25,7 +25,7 @@ from .assembly import (
     project_compatible,
 )
 from .bddc import BddcPreconditioner
-from .errors import ConfigError, ConstraintError, VerificationError
+from .errors import ConfigError, ConstraintError, SolverError, VerificationError
 from .femspace import PrimalVariant, build_composite_space, build_primal_constraints
 from .geometry import MeshConfig, build_mesh, extract_interfaces
 from .krylov import pcg
@@ -41,11 +41,6 @@ __all__ = [
     "make_preconditioner",
     "imex_rhs",
     "solve_interface",
-    "run_solve",
-    "run_weak_scaling",
-    "run_refinement",
-    "run_random_rhs",
-    "run_random_sigma",
     "run_verify",
     "run_experiment",
     "write_csv",
@@ -266,12 +261,17 @@ def solve_interface(problem, precond, f, *, tol, stop, maxiter):
     return u, report
 
 
-def _solve_row(problem, precond, f, config, variant, seed) -> ResultRow:
+def _solve_row(problem, precond, f, config, variant) -> ResultRow:
     t0 = time.perf_counter()
     _, report = solve_interface(
         problem, precond, f, tol=config.tol, stop=config.stop, maxiter=config.maxiter
     )
     ms = (time.perf_counter() - t0) * 1e3
+    if not report.converged:
+        raise SolverError(
+            f"{variant} on {problem.cells_label}: {report} "
+            f"(tol {config.tol:g}, maxiter {config.maxiter})"
+        )
     return ResultRow(
         cells=problem.cells_label,
         subdomains=problem.dofmap.n_substructures,
@@ -281,42 +281,46 @@ def _solve_row(problem, precond, f, config, variant, seed) -> ResultRow:
         kappa_est=report.kappa_est,
         coarse_dim=precond.coarse_dim,
         solve_ms=ms,
-        seed=seed,
+        seed=config.seed,
         sigma_summary=problem.sigma_summary(),
     )
 
 
-def _make_rhs(problem, config, rng):
-    if config.rhs == "imex":
-        return imex_rhs(problem)
-    return random_rhs(problem, rng)
+def _operators(config: ExperimentConfig):
+    """Yield ``(problem, loads)`` for each operator of the study, in row order.
 
-
-def run_solve(config: ExperimentConfig):
-    problem = build_problem(config.mesh, config.params)
-    rng = np.random.default_rng(config.seed)
-    f = _make_rhs(problem, config, rng)
-    rows = []
-    for variant in config.variants:
-        precond = make_preconditioner(problem, variant)
-        rows.append(_solve_row(problem, precond, f, config, variant, config.seed))
-    return rows
-
-
-def run_weak_scaling(config: ExperimentConfig):
-    """Fixed H/h, growing cell grid; one row per (grid, variant)."""
-    rows = []
-    for nx, ny, nz in config.grids:
-        mesh_cfg = dataclasses.replace(
-            config.mesh, cells_x=int(nx), cells_y=int(ny), cells_z=int(nz)
-        )
+    ``random_sigma`` draws every cell's conductivity from (1, 20) mS/cm (the
+    extracellular bath keeps the configured value) and one load per operator
+    from a single random stream.  The other studies reseed per operator;
+    ``random_rhs`` draws ``sample_count`` loads, the rest draw one.
+    """
+    if config.experiment == "random_sigma":
+        rng = np.random.default_rng(config.seed)
+        n_cells = math.prod(config.mesh.cells)
+        for _ in range(config.sample_count):
+            draw = (config.params.sigma_extra,) + tuple(rng.uniform(1.0, 20.0, n_cells))
+            params = dataclasses.replace(config.params, sigma=draw)
+            problem = build_problem(config.mesh, params)
+            yield problem, [random_rhs(problem, rng)]
+        return
+    if config.experiment == "weak_scaling":
+        meshes = [
+            dataclasses.replace(config.mesh, cells_x=int(nx), cells_y=int(ny), cells_z=int(nz))
+            for nx, ny, nz in config.grids
+        ]
+    elif config.experiment == "refinement":
+        meshes = [dataclasses.replace(config.mesh, refinement=int(lev)) for lev in config.levels]
+    else:
+        meshes = [config.mesh]
+    for mesh_cfg in meshes:
         problem = build_problem(mesh_cfg, config.params)
         rng = np.random.default_rng(config.seed)
-        f = _make_rhs(problem, config, rng)
-        for variant in config.variants:
-            precond = make_preconditioner(problem, variant)
-            rows.append(_solve_row(problem, precond, f, config, variant, config.seed))
-    return rows
+        if config.experiment == "random_rhs":
+            yield problem, [random_rhs(problem, rng) for _ in range(config.sample_count)]
+        elif config.rhs == "imex":
+            yield problem, [imex_rhs(problem)]
+        else:
+            yield problem, [random_rhs(problem, rng)]
 
 
 def polylog_model(kappa0: float, hh0: float, hh: float) -> float:
@@ -325,76 +329,25 @@ def polylog_model(kappa0: float, hh0: float, hh: float) -> float:
     return c * (1.0 + math.log(hh)) ** 2
 
 
-def run_refinement(config: ExperimentConfig):
-    """Increasing H/h on a fixed grid; returns (rows, model_table).
-
-    The model table carries the measured estimate next to the calibrated
-    poly-logarithmic reference curve, one entry per (level, variant).
-    """
-    rows = []
-    model = []
+def _model_table(config: ExperimentConfig, rows):
+    """Measured estimate next to the poly-logarithmic curve calibrated on the
+    first level, one entry per (level, variant)."""
+    levels = [int(lev) for lev in config.levels for _ in config.variants]
     first = {}
-    for lev in config.levels:
-        mesh_cfg = dataclasses.replace(config.mesh, refinement=int(lev))
-        hh = mesh_cfg.base_resolution * 2 ** int(lev)
-        problem = build_problem(mesh_cfg, config.params)
-        rng = np.random.default_rng(config.seed)
-        f = _make_rhs(problem, config, rng)
-        for variant in config.variants:
-            precond = make_preconditioner(problem, variant)
-            row = _solve_row(problem, precond, f, config, variant, config.seed)
-            rows.append(row)
-            key = str(PrimalVariant.parse(variant).value)
-            first.setdefault(key, (hh, row.kappa_est))
-            hh0, k0 = first[key]
-            model.append(
-                {
-                    "refinement": int(lev),
-                    "hh": hh,
-                    "primal_space": key,
-                    "kappa_est": row.kappa_est,
-                    "polylog_model": polylog_model(k0, hh0, hh),
-                }
-            )
-    return rows, model
-
-
-def run_random_rhs(config: ExperimentConfig):
-    """Fixed operator, freshly drawn load vectors; returns (rows, summary).
-
-    The same sample sequence is reused across primal variants so per-draw
-    comparisons are meaningful.
-    """
-    problem = build_problem(config.mesh, config.params)
-    rng = np.random.default_rng(config.seed)
-    loads = [random_rhs(problem, rng) for _ in range(config.sample_count)]
-    rows = []
-    for variant in config.variants:
-        precond = make_preconditioner(problem, variant)
-        for f in loads:
-            rows.append(_solve_row(problem, precond, f, config, variant, config.seed))
-    summary = _summarize(rows)
-    return rows, summary
-
-
-def run_random_sigma(config: ExperimentConfig):
-    """Conductivity robustness: every cell draws its conductivity from
-    (1, 20) mS/cm while the extracellular bath keeps the configured value;
-    operator and preconditioner are rebuilt per sample.  Returns
-    (rows, summary)."""
-    rng = np.random.default_rng(config.seed)
-    n_cells = build_mesh(config.mesh).n_substructures - 1
-    rows = []
-    for _ in range(config.sample_count):
-        draw = (config.params.sigma_extra,) + tuple(rng.uniform(1.0, 20.0, n_cells))
-        params = dataclasses.replace(config.params, sigma=draw)
-        problem = build_problem(config.mesh, params)
-        f = random_rhs(problem, rng)
-        for variant in config.variants:
-            precond = make_preconditioner(problem, variant)
-            rows.append(_solve_row(problem, precond, f, config, variant, config.seed))
-    summary = _summarize(rows)
-    return rows, summary
+    model = []
+    for lev, row in zip(levels, rows):
+        hh = config.mesh.base_resolution * 2**lev
+        hh0, k0 = first.setdefault(row.primal_space, (hh, row.kappa_est))
+        model.append(
+            {
+                "refinement": lev,
+                "hh": hh,
+                "primal_space": row.primal_space,
+                "kappa_est": row.kappa_est,
+                "polylog_model": polylog_model(k0, hh0, hh),
+            }
+        )
+    return model
 
 
 def _summarize(rows):
@@ -491,20 +444,27 @@ def run_verify(config: ExperimentConfig):
 
 
 def run_experiment(config: ExperimentConfig):
-    """Dispatch; returns (rows, extra) where extra depends on the study."""
-    if config.experiment == "solve":
-        return run_solve(config), None
-    if config.experiment == "weak_scaling":
-        return run_weak_scaling(config), None
-    if config.experiment == "refinement":
-        return run_refinement(config)
-    if config.experiment == "random_rhs":
-        return run_random_rhs(config)
-    if config.experiment == "random_sigma":
-        return run_random_sigma(config)
+    """Run one study; returns (rows, extra) where extra depends on the study.
+
+    Every study is the same sweep: one preconditioner per (operator,
+    variant), one CSV row per load.  The same loads are reused across
+    variants so per-draw comparisons are meaningful.  ``refinement`` adds the
+    model table, the random studies a summary of their rows, and ``verify``
+    returns no rows but its dense cross-check report.  A solve that does not
+    converge raises :class:`SolverError`.
+    """
     if config.experiment == "verify":
         return [], run_verify(config)
-    raise ConfigError(f"unknown experiment '{config.experiment}'")
+    rows = []
+    for problem, loads in _operators(config):
+        for variant in config.variants:
+            precond = make_preconditioner(problem, variant)
+            rows.extend(_solve_row(problem, precond, f, config, variant) for f in loads)
+    if config.experiment == "refinement":
+        return rows, _model_table(config, rows)
+    if config.experiment in ("random_rhs", "random_sigma"):
+        return rows, _summarize(rows)
+    return rows, None
 
 
 def write_csv(rows, path_or_buf) -> None:

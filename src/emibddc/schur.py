@@ -49,7 +49,6 @@ class SubstructureBlocks:
     def harmonic_extension(self, v: np.ndarray) -> np.ndarray:
         """Discrete-harmonic local vector with trace v: [u_I; v]."""
         v = np.asarray(v, dtype=np.float64)
-        n_i = self.k_ii.shape[0]
         if self.interior is None:
             return v.copy()
         u_i = -self.interior.solve(self.k_ig @ v)

@@ -2,8 +2,8 @@
 
 Two building blocks:
 
-* :class:`SPDSolver` -- Cholesky factorization of a sparse SPD matrix
-  (CHOLMOD through cvxopt when available, scipy's SuperLU otherwise).
+* :class:`SPDSolver` -- factorization of a sparse SPD matrix with scipy's
+  SuperLU.
 
 * :class:`ConstrainedSolver` -- minimizes ``0.5 u^T A u - b^T u`` subject to
   sparse averaging constraints ``C u = g`` where ``A`` is symmetric positive
@@ -31,20 +31,13 @@ import scipy.sparse as sp
 
 from .errors import FactorizationError
 
-try:  # pragma: no cover - exercised implicitly by backend choice
-    from cvxopt import cholmod as _cholmod
-    from cvxopt import matrix as _cvxmat
-    from cvxopt import spmatrix as _cvxsp
+HAS_CHOLMOD = False  # SuperLU is the only backend; kept for provenance reports
 
-    HAS_CHOLMOD = True
-except ImportError:  # pragma: no cover
-    HAS_CHOLMOD = False
-
-__all__ = ["SPDSolver", "ConstrainedSolver", "HAS_CHOLMOD"]
+__all__ = ["SPDSolver", "ConstrainedSolver"]
 
 
 class SPDSolver:
-    """Reusable Cholesky factorization of a sparse SPD matrix."""
+    """Reusable factorization of a sparse SPD matrix."""
 
     def __init__(self, matrix: sp.spmatrix, label: str = ""):
         matrix = matrix.tocoo()
@@ -52,48 +45,18 @@ class SPDSolver:
             raise FactorizationError(f"matrix {label or '?'} is not square")
         self.n = matrix.shape[0]
         self.label = label
-        if HAS_CHOLMOD:
-            self._factor_cholmod(matrix)
-            self.backend = "cholmod"
-        else:
-            self._factor_splu(matrix)
-            self.backend = "splu"
-
-    def _factor_cholmod(self, coo):
-        mask = coo.row >= coo.col
-        acv = _cvxsp(
-            _cvxmat(np.ascontiguousarray(coo.data[mask])),
-            _cvxmat(coo.row[mask].astype(np.int64)),
-            _cvxmat(coo.col[mask].astype(np.int64)),
-            coo.shape,
-        )
         try:
-            self._fs = _cholmod.symbolic(acv)
-            _cholmod.numeric(acv, self._fs)
-        except ArithmeticError as exc:
-            raise FactorizationError(
-                f"matrix {self.label or '?'} is not positive definite"
-            ) from exc
-
-    def _factor_splu(self, coo):
-        try:
-            self._lu = sp.linalg.splu(coo.tocsc())
+            self._lu = sp.linalg.splu(matrix.tocsc())
         except RuntimeError as exc:
             raise FactorizationError(
-                f"matrix {self.label or '?'} could not be factorized"
+                f"matrix {label or '?'} could not be factorized"
             ) from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one vector (n,) or a block of right-hand sides (n, k)."""
         rhs = np.asarray(rhs, dtype=np.float64)
         squeeze = rhs.ndim == 1
-        b = rhs.reshape(self.n, -1)
-        if self.backend == "cholmod":
-            x = _cvxmat(np.asfortranarray(b))
-            _cholmod.solve(self._fs, x)
-            out = np.array(x).reshape(b.shape)
-        else:
-            out = self._lu.solve(b)
+        out = self._lu.solve(rhs.reshape(self.n, -1))
         if not np.all(np.isfinite(out)):
             raise FactorizationError(
                 f"solve with {self.label or '?'} produced non-finite values"
@@ -186,21 +149,12 @@ class ConstrainedSolver:
         """
         rhs = np.asarray(rhs, dtype=np.float64)
         squeeze = rhs.ndim == 1
-        b = rhs.reshape(self.n, -1)
-        y = self._spd.solve(b)
-        if self._mt == 0:
-            out = y if self._rows is None else y[self._rows]
-            return out[:, 0] if squeeze else out
-
-        lam_rhs = self._ct @ y
-        if targets is not None:
-            g = np.asarray(targets, dtype=np.float64).reshape(self.m, -1)
-            lam_rhs[: self.m] -= g
-        nu = sla.lu_solve(self._h_lu, lam_rhs)
-        if self._rows is not None:
-            out = y[self._rows] - self._w @ nu
-        elif self._w is not None:
-            out = y - self._w @ nu
-        else:  # multiplier basis dropped entirely: one more sparse solve
-            out = y - self._spd.solve(self._ct.T @ nu)
+        y = self._spd.solve(rhs.reshape(self.n, -1))
+        out = y if self._rows is None else y[self._rows]
+        if self._mt:
+            lam_rhs = self._ct @ y
+            if targets is not None:
+                g = np.asarray(targets, dtype=np.float64).reshape(self.m, -1)
+                lam_rhs[: self.m] -= g
+            out = out - self._w @ sla.lu_solve(self._h_lu, lam_rhs)
         return out[:, 0] if squeeze else out

@@ -33,10 +33,7 @@ from emibddc.harness import (
     make_preconditioner,
     polylog_model,
     random_rhs,
-    run_random_rhs,
-    run_random_sigma,
-    run_refinement,
-    run_weak_scaling,
+    run_experiment,
     solve_interface,
 )
 
@@ -144,7 +141,7 @@ def test_criterion_3_weak_scaling():
     iteration counts within +-2 of their median and condition estimates
     within a factor 1.5 of their median, within 10 min."""
     t0 = time.perf_counter()
-    rows = run_weak_scaling(
+    rows, _ = run_experiment(
         ExperimentConfig(
             experiment="weak_scaling", mesh=_edge_mesh(), seed=SEED
         )
@@ -188,7 +185,7 @@ def test_criterion_4_optimality():
     refinement: cell grid with the full primal space, and the convex-cell
     geometry with both primal variants, within 15 min."""
     t0 = time.perf_counter()
-    _, model_grid = run_refinement(
+    _, model_grid = run_experiment(
         ExperimentConfig(
             experiment="refinement",
             mesh=_edge_mesh(cells_x=2, cells_y=2, cells_z=2),
@@ -201,7 +198,7 @@ def test_criterion_4_optimality():
     convex = _edge_mesh(
         geometry_kind="convex_cells", cells_x=2, cells_y=1, cells_z=1
     )
-    _, model_cvx = run_refinement(
+    _, model_cvx = run_experiment(
         ExperimentConfig(
             experiment="refinement", mesh=convex, variants=("vef",), seed=SEED
         )
@@ -209,7 +206,7 @@ def test_criterion_4_optimality():
     ok_cvx_vef, r_cvx_vef = _below_polylog(model_cvx, "vef")
 
     try:
-        _, model_cvx_ve = run_refinement(
+        _, model_cvx_ve = run_experiment(
             ExperimentConfig(
                 experiment="refinement", mesh=convex, variants=("ve",), seed=SEED
             )
@@ -240,7 +237,7 @@ def test_criterion_4_optimality():
 def test_criterion_5_sigma_robustness():
     """Across 20 random per-cell conductivity draws from (1, 20) mS/cm the
     iteration spread stays below 1.5x and the condition spread below 3x."""
-    rows, _ = run_random_sigma(
+    rows, _ = run_experiment(
         ExperimentConfig(
             experiment="random_sigma",
             mesh=_edge_mesh(cells_x=2, cells_y=2, cells_z=2),
@@ -273,7 +270,7 @@ def test_criterion_5_sigma_robustness():
 def test_criterion_6_rhs_independence():
     """Iteration counts over 100 random load vectors on one fixed problem
     vary by at most 3."""
-    rows, _ = run_random_rhs(
+    rows, _ = run_experiment(
         ExperimentConfig(
             experiment="random_rhs",
             mesh=_edge_mesh(cells_x=2, cells_y=2, cells_z=2),

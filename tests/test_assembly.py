@@ -60,7 +60,8 @@ def test_kernel_scaling_laws():
     npt.assert_allclose(me2, 4.0 * me1, atol=1e-13)
 
 
-def test_numba_and_numpy_paths_agree():
+def test_element_kernel_identities():
+    """Random elements against identities that hold for exact P1 matrices."""
     rng = np.random.default_rng(42)
     tets = rng.random((64, 4, 3))
     tets[:, 3, 2] += 1.0
@@ -68,14 +69,26 @@ def test_numba_and_numpy_paths_agree():
     tris[:, 1, 0] += 1.0
     tris[:, 2, 1] += 1.0
     sigma = rng.uniform(0.5, 5.0, 64)
-    ke_pub, vol_pub = _kernels.tet_stiffness_batch(tets, sigma)
-    ke_np, vol_np = _kernels._tet_stiffness_numpy(tets, sigma)
-    npt.assert_allclose(ke_pub, ke_np, rtol=1e-12, atol=1e-14)
-    npt.assert_allclose(vol_pub, vol_np, rtol=1e-13)
-    me_pub, a_pub = _kernels.tri_mass_batch(tris)
-    me_np, a_np = _kernels._tri_mass_numpy(tris)
-    npt.assert_allclose(me_pub, me_np, rtol=1e-12, atol=1e-15)
-    npt.assert_allclose(a_pub, a_np, rtol=1e-13)
+
+    ke, vol = _kernels.tet_stiffness_batch(tets, sigma)
+    e = tets[:, 1:] - tets[:, :1]
+    vol_ref = np.einsum("td,td->t", np.cross(e[:, 0], e[:, 1]), e[:, 2]) / 6.0
+    npt.assert_allclose(vol, vol_ref, rtol=1e-12)
+    scale = np.abs(ke).max(axis=(1, 2), keepdims=True)
+    npt.assert_allclose(ke @ np.ones(4) / scale[:, :, 0], 0.0, atol=1e-12)  # constants
+    npt.assert_allclose(ke, np.transpose(ke, (0, 2, 1)), rtol=0, atol=1e-12 * scale.max())
+    # a linear field u = a.x has the constant gradient a: energy sigma*vol*|a|^2
+    a = rng.standard_normal((64, 3))
+    u = np.einsum("tvd,td->tv", tets, a)
+    energy = np.einsum("ti,tij,tj->t", u, ke, u)
+    npt.assert_allclose(energy, sigma * vol_ref * (a * a).sum(axis=1), rtol=1e-10)
+
+    me, area = _kernels.tri_mass_batch(tris)
+    p, q = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    gram = (p * p).sum(axis=1) * (q * q).sum(axis=1) - (p * q).sum(axis=1) ** 2
+    area_ref = 0.5 * np.sqrt(gram)
+    npt.assert_allclose(area, area_ref, rtol=1e-12)
+    npt.assert_allclose(me.sum(axis=(1, 2)), area_ref, rtol=1e-12)  # 1^T M 1
 
 
 def test_degenerate_elements_rejected():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,13 +8,10 @@ from emibddc.errors import MeshError, TopologyError
 from emibddc.geometry import (
     Mesh,
     MeshConfig,
-    build_cell_grid,
-    build_convex_cells,
     build_mesh,
     export_vtk,
     extract_interfaces,
     load_vtk,
-    refine,
 )
 
 
@@ -88,8 +87,9 @@ def test_convex_cells_have_no_junctions():
 
 
 def test_refinement_nests_vertices():
-    coarse = build_mesh(MeshConfig(cells_x=1, cells_y=1, cells_z=1))
-    fine = refine(coarse, 1)
+    cfg = MeshConfig(cells_x=1, cells_y=1, cells_z=1)
+    coarse = build_mesh(cfg)
+    fine = build_mesh(replace(cfg, refinement=1))
     assert len(fine.tets) == 8 * len(coarse.tets)
     npt.assert_allclose(fine.spacing, coarse.spacing / 2.0, rtol=1e-15)
     # every coarse vertex must reappear exactly in the fine mesh
@@ -113,17 +113,6 @@ def test_vtk_roundtrip(tmp_path):
     npt.assert_array_equal(tets, mesh.tets)
     npt.assert_array_equal(cell_types, np.full(len(mesh.tets), 10))
     npt.assert_array_equal(sub, mesh.tet_sub)
-
-
-def test_dispatch_helpers():
-    rep = MeshConfig(cells_x=1, cells_y=1, cells_z=1)
-    conv = MeshConfig(cells_x=1, cells_y=1, cells_z=1, geometry_kind="convex_cells")
-    assert build_cell_grid(rep).n_substructures == 2
-    assert build_convex_cells(conv).n_substructures == 2
-    with pytest.raises(MeshError):
-        build_cell_grid(conv)
-    with pytest.raises(MeshError):
-        build_convex_cells(rep)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from emibddc.harness import (
     imex_rhs,
     polylog_model,
     random_rhs,
-    run_solve,
+    run_experiment,
     rows_to_string,
     write_csv,
     write_model_csv,
@@ -137,8 +137,8 @@ def test_polylog_model_intersects_first_point():
 
 def test_solve_rows_deterministic_modulo_timing():
     cfg = ExperimentConfig.from_dict(dict(TINY, seed=123))
-    rows_a = run_solve(cfg)
-    rows_b = run_solve(cfg)
+    rows_a, _ = run_experiment(cfg)
+    rows_b, _ = run_experiment(cfg)
 
     def scrub(rows):
         out = []
@@ -186,6 +186,14 @@ def test_cli_solve_exit_zero(tmp_path, capsys):
     text = out.read_text()
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
     assert "[vef]" in capsys.readouterr().out
+
+
+def test_cli_solve_not_converged_exits_one(capsys):
+    rc = cli.main(["solve", "--set", "mesh.cells_x=2", "--maxiter", "3"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "NOT converged" in captured.err
+    assert "iterations=" not in captured.out  # no row for a failed solve
 
 
 def test_cli_unknown_config_key_exits_two(capsys):

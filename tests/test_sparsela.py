@@ -4,7 +4,7 @@ import pytest
 import scipy.sparse as sp
 
 from emibddc.errors import FactorizationError
-from emibddc.sparsela import HAS_CHOLMOD, ConstrainedSolver, SPDSolver
+from emibddc.sparsela import ConstrainedSolver, SPDSolver
 
 
 def _random_spd(n, rng, density=0.4):
@@ -39,12 +39,6 @@ def test_spd_solver_matches_dense():
     # block right-hand sides share the factorization
     blk = rng.standard_normal((40, 5))
     npt.assert_allclose(solver.solve(blk), np.linalg.solve(a.toarray(), blk), rtol=1e-10)
-
-
-def test_spd_solver_backend_selected():
-    solver = SPDSolver(sp.identity(4, format="csr"))
-    assert solver.backend == ("cholmod" if HAS_CHOLMOD else "splu")
-    npt.assert_allclose(solver.solve(np.arange(4.0)), np.arange(4.0))
 
 
 def test_spd_solver_rejects_nonsquare():
