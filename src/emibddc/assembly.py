@@ -105,12 +105,19 @@ class AlievPanfilov:
 
 @dataclass(frozen=True)
 class LocalOperator:
-    """Broken operator of one substructure in its local dof ordering."""
+    """Broken operator of one substructure in its local dof ordering.
+
+    ``neumann`` belongs to the preconditioner: it maps the tuple of pinned
+    local dofs to the factor of the Neumann matrix on the remaining dofs
+    (see :class:`~emibddc.bddc.BddcPreconditioner`).  It lives as long as
+    the operator, so every primal space built on one problem shares it.
+    """
 
     sub: int
     matrix: sp.csr_matrix    # tau * stiffness + half interface mass
     n_interior: int
     n_local: int
+    neumann: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

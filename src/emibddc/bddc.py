@@ -11,10 +11,24 @@ The preconditioner works on the assembled interface unknowns of the reduced
    local basis functions (the *coarse* correction),
 4. scaled prolongation back to the assembled interface.
 
-Substructure solves reuse a single sparse Cholesky factorization each via
-:class:`~emibddc.sparsela.ConstrainedSolver`; the coarse problem is dense
-and is inverted on the orthogonal complement of its one-dimensional kernel
-(the coarse image of the constant vector).
+Each substructure's Neumann matrix ``K_ff`` (its local operator on the dofs
+left after pinning its subdomain vertices, shifted at one entry when nothing
+is pinned) has one sparse LU factorization per problem.  It is stored in
+``LocalOperator.neumann`` under the pinned dofs and lives as long as the
+local operator, so ``vef`` and ``ve``, which pin the same vertices, share
+it; each preconditioner adds only its own multiplier basis ``W`` and dense
+``H`` via :class:`~emibddc.sparsela.ConstrainedSolver`.
+
+The coarse basis ``psi`` of a substructure minimizes local energy subject
+to unit value on one class and zero on the others.  A column for a vertex
+pin has the load ``b = -K_fp d_pin`` and costs one sparse solve; a column
+for an average class has ``b = 0``, so with ``g`` its constraint targets
+
+    psi_free = W H^{-1} [g; 0]
+
+and it costs no sparse solve.  The coarse problem is dense and is inverted
+on the orthogonal complement of its one-dimensional kernel (the coarse image
+of the constant vector).
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ import scipy.sparse as sp
 
 from .errors import ConstraintError, FactorizationError
 from .femspace import ConstraintSet, DofMap
-from .sparsela import ConstrainedSolver
+from .sparsela import ConstrainedSolver, SPDSolver
 
 __all__ = ["build_scaling", "BddcPreconditioner"]
 
@@ -47,9 +61,10 @@ def build_scaling(dofmap: DofMap, sigma: np.ndarray) -> np.ndarray:
 class _SubstructureSolver:
     """Dual solver plus coarse basis of one substructure."""
 
-    def __init__(self, sub, k_local, n_interior, rows, pins, label):
-        self.sub = sub
-        n_loc = k_local.shape[0]
+    def __init__(self, lo, rows, pins, label):
+        self.sub = lo.sub
+        n_interior = lo.n_interior
+        n_loc = lo.matrix.shape[0]
         pin_dofs = np.array([dof for _, dof in pins], dtype=np.int64)
         if len(np.unique(pin_dofs)) != len(pin_dofs):
             raise ConstraintError(f"{label}: repeated vertex dof")
@@ -76,17 +91,20 @@ class _SubstructureSolver:
             pp = pin_pos[row.local_dofs[~keep]]
             c_pin[r, pp] = row.weights[~keep]
 
-        k_csr = k_local.tocsr()
-        a_ff = k_csr[free, :][:, free]
+        k_csr = lo.matrix.tocsr()
+        key = tuple(sorted(pin_dofs.tolist()))
+        factor = lo.neumann.get(key)
+        if factor is None:
+            factor = lo.neumann[key] = SPDSolver(
+                k_csr[free, :][:, free], label=label, pin=(len(pin_dofs) == 0)
+            )
         self.solver = ConstrainedSolver(
-            a_ff,
-            c_free.tocsr() if m_r else None,
-            make_spd=(len(pin_dofs) == 0),
-            label=label,
+            factor, c_free.tocsr() if m_r else None, label=label
         )
 
         # energy-minimal coarse basis: unit average on one class, zero on the
-        # rest, vertex dofs pinned to their class indicator
+        # rest, vertex dofs pinned to their class indicator; the zero columns
+        # of b (average classes) take no sparse solve
         d_pin = np.zeros((len(pins), m_loc))
         for p in range(len(pins)):
             d_pin[p, m_r + p] = 1.0
@@ -157,12 +175,7 @@ class BddcPreconditioner:
                 )
             self.subs.append(
                 _SubstructureSolver(
-                    lo.sub,
-                    lo.matrix,
-                    lo.n_interior,
-                    rows,
-                    pins,
-                    label=f"substructure {lo.sub} dual block",
+                    lo, rows, pins, label=f"substructure {lo.sub} dual block"
                 )
             )
 

@@ -202,15 +202,14 @@ def build_composite_space(mesh: Mesh, topo: InterfaceTopology) -> DofMap:
             len(copy_nodes[(i, j)]) for j in topo.neighbors(i)
         )
 
-    side_offsets = own_offset[bro_side]
-    bro_gamma_full = side_offsets + np.array(
-        [
-            np.searchsorted(own_nodes[s], x)
-            for s, x in zip(bro_side, bro_node)
-        ],
-        dtype=np.int64,
-    ) if len(bro_side) else np.empty(0, np.int64)
-    bro_gamma = full_to_gamma[bro_gamma_full] if len(bro_side) else np.empty(0, np.int64)
+    # global id of each broken dof's (side, node): one search per side
+    by_side = np.argsort(bro_side, kind="stable")
+    side_bounds = np.searchsorted(bro_side[by_side], np.arange(nsub + 1))
+    bro_gamma_full = np.empty(len(bro_side), dtype=np.int64)
+    for s in range(nsub):
+        at = by_side[side_bounds[s]:side_bounds[s + 1]]
+        bro_gamma_full[at] = own_offset[s] + np.searchsorted(own_nodes[s], bro_node[at])
+    bro_gamma = full_to_gamma[bro_gamma_full]
 
     _, bro_group = (
         np.unique(bro_gamma, return_inverse=True)

@@ -2,14 +2,14 @@
 
 Two building blocks:
 
-* :class:`SPDSolver` -- factorization of a sparse SPD matrix with scipy's
-  SuperLU.
+* :class:`SPDSolver` -- sparse LU factorization (scipy's SuperLU) of a
+  symmetric positive definite matrix, optionally after the pin shift below.
 
 * :class:`ConstrainedSolver` -- minimizes ``0.5 u^T A u - b^T u`` subject to
   sparse averaging constraints ``C u = g`` where ``A`` is symmetric positive
   semidefinite with at most the constant vector in its kernel.  The KKT
   system is reduced to a dense multiplier problem so that only one sparse
-  Cholesky factorization is needed.  Singular ``A`` is handled by pinning a
+  LU factorization is needed.  Singular ``A`` is handled by pinning a
   single entry with a rank-one diagonal shift and compensating through an
   extra multiplier, which keeps the factorized matrix sparse *and* the
   reduced system exactly equivalent to the original KKT conditions:
@@ -19,6 +19,16 @@ Two building blocks:
 
   whose second block forces nu_last = -rho * u_p, cancelling the shift in
   the first block, so (u, nu[:-1]) solves the original problem.
+
+  The factor of ``A + rho*e_p*e_p^T`` does not depend on ``C``, so a caller
+  that solves against several constraint sets builds the :class:`SPDSolver`
+  once and hands it to every :class:`ConstrainedSolver`.  With the
+  multiplier basis ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T`` and the dense
+  ``H = Ct W - D`` the solution is
+
+      u = y - W H^{-1} (Ct y - [g; 0]),     y = (A + rho*e_p*e_p^T)^{-1} b,
+
+  so a column with ``b = 0`` needs no sparse solve: ``u = W H^{-1} [g; 0]``.
 """
 
 from __future__ import annotations
@@ -37,16 +47,31 @@ __all__ = ["SPDSolver", "ConstrainedSolver"]
 
 
 class SPDSolver:
-    """Reusable factorization of a sparse SPD matrix."""
+    """Reusable factorization of a sparse SPD matrix.
 
-    def __init__(self, matrix: sp.spmatrix, label: str = ""):
-        matrix = matrix.tocoo()
+    With ``pin=True`` the matrix may be only semidefinite with the constant
+    vector in its kernel; the factor is then that of
+    ``matrix + rho * e_0 e_0^T`` with ``rho`` the mean diagonal entry, and
+    ``rho`` is kept for :class:`ConstrainedSolver`.  ``rho`` is 0 without
+    the pin.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, label: str = "", pin: bool = False):
         if matrix.shape[0] != matrix.shape[1]:
             raise FactorizationError(f"matrix {label or '?'} is not square")
         self.n = matrix.shape[0]
         self.label = label
+        self.rho = 0.0
+        if pin:
+            if self.n == 0:
+                raise FactorizationError(f"empty singular block for {label or '?'}")
+            matrix = matrix.tocsr()
+            self.rho = float(matrix.diagonal().mean()) or 1.0
+            matrix = matrix + sp.coo_matrix(
+                ([self.rho], ([0], [0])), shape=matrix.shape
+            ).tocsr()
         try:
-            self._lu = sp.linalg.splu(matrix.tocsc())
+            self._lu = sp.linalg.splu(matrix.tocoo().tocsc())
         except RuntimeError as exc:
             raise FactorizationError(
                 f"matrix {label or '?'} could not be factorized"
@@ -69,20 +94,18 @@ class ConstrainedSolver:
 
     Parameters
     ----------
-    matrix:
-        Sparse symmetric PSD matrix (``n`` x ``n``).
+    factor:
+        :class:`SPDSolver` of the matrix, built with ``pin=True`` when the
+        matrix may contain the constant vector in its kernel (the solver
+        then adds the internal pin row) and ``pin=False`` when it is
+        positive definite.  Several solvers with different constraints may
+        share one factor.
     constraints:
         Sparse constraint rows (``m`` x ``n``); ``None`` means no rows.
-    make_spd:
-        Pass ``True`` when ``matrix`` may contain the constant vector in its
-        kernel (nothing was pinned yet); the solver then adds the internal
-        pin row.  Pass ``False`` when the matrix is already positive
-        definite.
     """
 
-    def __init__(self, matrix, constraints=None, make_spd=True, label=""):
-        matrix = matrix.tocsr()
-        self.n = matrix.shape[0]
+    def __init__(self, factor: SPDSolver, constraints=None, label=""):
+        self.n = factor.n
         self.label = label
         if constraints is None:
             constraints = sp.csr_matrix((0, self.n))
@@ -93,31 +116,22 @@ class ConstrainedSolver:
             )
         self.m = constraints.shape[0]
 
-        self._pinned = bool(make_spd)
-        if make_spd:
-            if self.n == 0:
-                raise FactorizationError(f"empty singular block for {label or '?'}")
-            diag = matrix.diagonal()
-            self._rho = float(diag.mean()) or 1.0
-            shift = sp.coo_matrix(
-                ([self._rho], ([0], [0])), shape=matrix.shape
-            ).tocsr()
-            a_spd = matrix + shift
+        self._rho = factor.rho
+        if self._rho:
             pin_row = sp.coo_matrix(([1.0], ([0], [0])), shape=(1, self.n)).tocsr()
             self._ct = sp.vstack([constraints, pin_row]).tocsr()
         else:
-            a_spd = matrix
             self._ct = constraints
 
         self._mt = self._ct.shape[0]
-        self._spd = SPDSolver(a_spd, label=label)
+        self._spd = factor
         self._rows = None
         self._w = None
         self._h_lu = None
         if self._mt:
             w = self._spd.solve(self._ct.T.toarray())
             h = self._ct @ w
-            if self._pinned:
+            if self._rho:
                 h[-1, -1] -= 1.0 / self._rho
             try:
                 with np.errstate(invalid="raise"), warnings.catch_warnings():
@@ -149,7 +163,17 @@ class ConstrainedSolver:
         """
         rhs = np.asarray(rhs, dtype=np.float64)
         squeeze = rhs.ndim == 1
-        y = self._spd.solve(rhs.reshape(self.n, -1))
+        rhs = rhs.reshape(self.n, -1)
+        if rhs.shape[1] == 1:
+            # one column, as in every preconditioner application: solved as
+            # is, since looking for zero columns slows the Krylov solve
+            y = self._spd.solve(rhs)
+        else:
+            # zero columns (the average classes of a coarse basis) have y = 0
+            y = np.zeros_like(rhs)
+            loaded = np.flatnonzero(np.any(rhs, axis=0))
+            if len(loaded):
+                y[:, loaded] = self._spd.solve(rhs[:, loaded])
         out = y if self._rows is None else y[self._rows]
         if self._mt:
             lam_rhs = self._ct @ y

@@ -8,7 +8,9 @@ from emibddc.bddc import BddcPreconditioner, build_scaling
 from emibddc.errors import ConstraintError
 from emibddc.femspace import build_composite_space, build_primal_constraints
 from emibddc.geometry import Mesh, MeshConfig, build_mesh, extract_interfaces
-from emibddc.harness import build_problem, make_preconditioner
+from emibddc.harness import Problem, build_problem, make_preconditioner
+from emibddc.schur import condense
+from emibddc.sparsela import SPDSolver
 
 
 def test_scaling_values_on_membrane_and_junction(problem_2cell):
@@ -223,3 +225,59 @@ def test_single_substructure_rejected():
     ops = assemble_system(mesh, topo, dm, ModelParams())
     with pytest.raises(ConstraintError):
         BddcPreconditioner(dm, cs, ops.local_ops, ops.sigma)
+
+
+def _problem_on(which, patch_mesh):
+    """A problem on the 2x2x1 cell grid (no vertex pins) or on the
+    tetrahedral patch (every substructure has pinned vertex dofs)."""
+    params = ModelParams()
+    if which == "cells_2x2x1":
+        return build_problem(MeshConfig(cells_x=2, cells_y=2, cells_z=1), params)
+    topo = extract_interfaces(patch_mesh)
+    dm = build_composite_space(patch_mesh, topo)
+    ops = assemble_system(patch_mesh, topo, dm, params)
+    schur = condense(dm, ops.local_ops)
+    return Problem(patch_mesh.config, params, patch_mesh, topo, dm, ops, schur)
+
+
+@pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
+def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypatch):
+    """vef then ve on one problem factor each substructure's Neumann matrix
+    once, and give the same preconditioner as ve on a fresh problem."""
+    labels = []
+    original = SPDSolver.__init__
+
+    def counting(self, matrix, label="", pin=False):
+        labels.append(label)
+        original(self, matrix, label=label, pin=pin)
+
+    monkeypatch.setattr(SPDSolver, "__init__", counting)
+    problem = _problem_on(which, patch_mesh)
+    make_preconditioner(problem, "vef")
+    reused = make_preconditioner(problem, "ve")
+    monkeypatch.undo()
+
+    dm = problem.dofmap
+    pins = [len(reused.constraints.vertex_members_of(i)) for i in range(dm.n_substructures)]
+    assert all(pins) if which == "patch" else not any(pins)
+    interior = [f"interior block {i}" for i in range(dm.n_substructures) if dm.n_interior[i]]
+    neumann = [f"substructure {i} dual block" for i in range(dm.n_substructures)]
+    assert interior
+    assert sorted(labels) == sorted(interior + neumann)
+    assert all(len(lo.neumann) == 1 for lo in problem.operators.local_ops)
+
+    fresh = make_preconditioner(_problem_on(which, patch_mesh), "ve")
+    r = np.random.default_rng(31).standard_normal(dm.n_gamma)
+    assert np.array_equal(reused.apply(r), fresh.apply(r))
+
+    if which == "patch":
+        # C psi hits its targets: unit on its own class, zero on the others
+        for ss, lo in zip(reused.subs, problem.operators.local_ops):
+            rows = reused.constraints.rows_of(ss.sub)
+            n_i = lo.n_interior
+            expected = np.eye(len(ss.class_ids))
+            for c, (_, row) in enumerate(rows):
+                got = ss.psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
+                npt.assert_allclose(got, expected[c], rtol=0, atol=1e-12)
+            for p, (_, dof) in enumerate(reused.constraints.vertex_members_of(ss.sub)):
+                npt.assert_array_equal(ss.psi_gamma[dof - n_i], expected[len(rows) + p])

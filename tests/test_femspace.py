@@ -172,3 +172,28 @@ def test_rows_of_matches_counts(patch_mesh, patch_topo):
         # the centroid is shared by all four substructures, the corners by three
         assert len(cs.vertex_members_of(s)) == 4 + 3 * 3
         assert c.vertex_points == 4
+
+
+@pytest.mark.parametrize("which", ["patch", "convex_2x2x1"])
+def test_bro_gamma_matches_per_dof_lookup(which, patch_mesh, patch_topo):
+    """The grouped lookup gives every broken dof the assembled dof that a
+    per-dof search of its side's sorted nodes gives."""
+    if which == "patch":
+        mesh, topo = patch_mesh, patch_topo
+    else:
+        mesh = build_mesh(
+            MeshConfig(cells_x=2, cells_y=2, cells_z=1, geometry_kind="convex_cells")
+        )
+        topo = extract_interfaces(mesh)
+    dm = build_composite_space(mesh, topo)
+    reference = np.array(
+        [
+            dm.full_to_gamma[dm.own_offset[s] + np.searchsorted(dm.own_nodes[s], x)]
+            for s, x in zip(dm.bro_side, dm.bro_node)
+        ],
+        dtype=np.int64,
+    )
+    assert len(reference) == dm.n_broken > 0
+    assert dm.bro_gamma.dtype == reference.dtype
+    npt.assert_array_equal(dm.bro_gamma, reference)
+    assert dm.bro_gamma.min() >= 0

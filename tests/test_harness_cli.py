@@ -196,6 +196,19 @@ def test_cli_solve_not_converged_exits_one(capsys):
     assert "iterations=" not in captured.out  # no row for a failed solve
 
 
+def test_cli_readme_random_sigma_command(tmp_path):
+    """The README's random-sigma command: 20 samples, both primal spaces."""
+    out = tmp_path / "sigma.csv"
+    rc = cli.main(
+        ["experiment", "random-sigma", "--set", "mesh.cells_x=2", "--samples", "20",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER)
+    assert len(lines) == 1 + 40
+
+
 def test_cli_unknown_config_key_exits_two(capsys):
     rc = cli.main(["solve", "--set", "mesh.bogus=3"])
     assert rc == 2

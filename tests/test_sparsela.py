@@ -61,7 +61,7 @@ def test_constrained_matches_dense_kkt_spd():
     c = sp.csr_matrix(rng.standard_normal((m, n)))
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    solver = ConstrainedSolver(a, c, make_spd=False)
+    solver = ConstrainedSolver(SPDSolver(a), c)
     u = solver.solve(b, targets=g)
     npt.assert_allclose(u, _dense_kkt(a.toarray(), c.toarray(), b, g), rtol=1e-9)
     npt.assert_allclose(c @ u, g, atol=1e-9)
@@ -77,7 +77,7 @@ def test_constrained_matches_dense_kkt_singular():
     c = sp.csr_matrix(c_rows)
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    solver = ConstrainedSolver(a, c, make_spd=True)
+    solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
     u = solver.solve(b, targets=g)
     # dense reference: KKT with the same pin construction is equivalent to
     # the original singular KKT, which we solve via lstsq on the full system
@@ -97,7 +97,7 @@ def test_constrained_zero_targets_default():
     n = 20
     a = _random_psd_with_constant_kernel(n, rng)
     c = sp.csr_matrix(np.ones((1, n)) / n)
-    solver = ConstrainedSolver(a, c, make_spd=True)
+    solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
     u = solver.solve(rng.standard_normal(n))
     npt.assert_allclose(u.mean(), 0.0, atol=1e-10)
 
@@ -113,7 +113,7 @@ def test_constrained_energy_minimization():
     c = sp.csr_matrix(c_rows)
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    u = ConstrainedSolver(a, c, make_spd=True).solve(b, targets=g)
+    u = ConstrainedSolver(SPDSolver(a, pin=True), c).solve(b, targets=g)
     energy = lambda v: 0.5 * v @ ad @ v - b @ v
     e0 = energy(u)
     basis = np.linalg.svd(c_rows)[2][m:]  # null space of the constraints
@@ -128,9 +128,9 @@ def test_compress_restricts_solution():
     a = _random_spd(n, rng)
     c = sp.csr_matrix(rng.standard_normal((2, n)))
     b = rng.standard_normal(n)
-    full = ConstrainedSolver(a, c, make_spd=False).solve(b)
+    full = ConstrainedSolver(SPDSolver(a), c).solve(b)
     rows = np.array([0, 5, 11])
-    compressed = ConstrainedSolver(a, c, make_spd=False)
+    compressed = ConstrainedSolver(SPDSolver(a), c)
     compressed.compress(rows)
     npt.assert_allclose(compressed.solve(b), full[rows], rtol=1e-12)
 
@@ -138,7 +138,7 @@ def test_compress_restricts_solution():
 def test_constraint_width_checked():
     a = sp.identity(5, format="csr")
     with pytest.raises(FactorizationError):
-        ConstrainedSolver(a, sp.csr_matrix(np.ones((1, 4))))
+        ConstrainedSolver(SPDSolver(a, pin=True), sp.csr_matrix(np.ones((1, 4))))
 
 
 def test_dependent_constraint_rows_rejected():
@@ -147,4 +147,52 @@ def test_dependent_constraint_rows_rejected():
     row = rng.standard_normal((1, 10))
     dup = sp.csr_matrix(np.vstack([row, row]))
     with pytest.raises(FactorizationError):
-        ConstrainedSolver(a, dup, make_spd=False)
+        ConstrainedSolver(SPDSolver(a), dup)
+
+
+def test_shared_factor_serves_several_constraint_sets():
+    """One pinned factor handed to solvers with different constraint rows
+    gives what each solver computes with a factor of its own."""
+    rng = np.random.default_rng(7)
+    n = 22
+    a = _random_psd_with_constant_kernel(n, rng)
+    factor = SPDSolver(a, pin=True)
+    assert factor.rho == pytest.approx(a.diagonal().mean())
+    b = rng.standard_normal(n)
+    for m in (1, 3):
+        c_rows = rng.standard_normal((m, n))
+        c_rows[0] += 1.0
+        c = sp.csr_matrix(c_rows)
+        g = rng.standard_normal(m)
+        own = ConstrainedSolver(SPDSolver(a, pin=True), c).solve(b, targets=g)
+        shared = ConstrainedSolver(factor, c).solve(b, targets=g)
+        npt.assert_array_equal(shared, own)
+
+
+def test_block_solve_with_zero_columns(monkeypatch):
+    """Zero load columns give W H^{-1} [g; 0] without a sparse solve: they
+    match a column-by-column solve and meet their targets."""
+    rng = np.random.default_rng(8)
+    n, m = 20, 3
+    a = _random_psd_with_constant_kernel(n, rng)
+    c_rows = rng.standard_normal((m, n))
+    c_rows[0] += 1.0
+    c = sp.csr_matrix(c_rows)
+    solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
+    b = np.zeros((n, 4))
+    b[:, 2] = rng.standard_normal(n)
+    g = rng.standard_normal((m, 4))
+    widths = []
+    original = SPDSolver.solve
+
+    def counting(self, rhs):
+        widths.append(rhs.shape[1])
+        return original(self, rhs)
+
+    monkeypatch.setattr(SPDSolver, "solve", counting)
+    u = solver.solve(b, targets=g)
+    monkeypatch.undo()
+    assert widths == [1]
+    for k in range(4):
+        npt.assert_allclose(u[:, k], solver.solve(b[:, k], targets=g[:, k]), rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(c @ u, g, atol=1e-10)
