@@ -7,19 +7,20 @@ from .errors import AssemblyError
 HAS_NUMBA = False  # the kernels are plain numpy; kept for provenance reports
 
 
-def _tet_stiffness_numpy(coords, sigma):
+def tet_stiffness_batch(coords, sigma):
     """Stiffness matrices sigma * vol * G G^T for batches of P1 tets.
 
     coords: (T, 4, 3) vertex coordinates, sigma: (T,) conductivities.
-    Returns (T, 4, 4) element matrices and (T,) signed volumes.
+    Returns (T, 4, 4) element matrices and (T,) signed volumes; raises on
+    degenerate cells.
     """
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
+    sigma = np.ascontiguousarray(sigma, dtype=np.float64)
     e = coords[:, 1:, :] - coords[:, :1, :]          # (T, 3, 3) edge vectors
     vol = np.linalg.det(e) / 6.0
-    bad = np.abs(vol) < 1e-300
-    if bad.any():
-        # keep the inversion well defined; the zero volume is reported by
-        # the caller, which rejects the whole batch
-        e = np.where(bad[:, None, None], np.eye(3), e)
+    if coords.shape[0] and np.min(np.abs(vol)) < 1e-300:
+        bad = int(np.argmin(np.abs(vol)))
+        raise AssemblyError(f"degenerate tetrahedron at batch index {bad} (zero volume)")
     # gradients of barycentric coordinates 1..3 are rows of inv(e)^T
     ginv = np.linalg.inv(e)                          # (T, 3, 3)
     g123 = np.transpose(ginv, (0, 2, 1))
@@ -30,31 +31,15 @@ def _tet_stiffness_numpy(coords, sigma):
     return ke, vol
 
 
-def _tri_mass_numpy(coords):
-    """Consistent P1 mass matrices (area/12 pattern) for triangle batches."""
+def tri_mass_batch(coords):
+    """Consistent P1 mass matrices (area/12 pattern) for triangle batches;
+    rejects slivers."""
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
     u = coords[:, 1, :] - coords[:, 0, :]
     v = coords[:, 2, :] - coords[:, 0, :]
     area = 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
-    base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    return area[:, None, None] * base, area
-
-
-def tet_stiffness_batch(coords, sigma):
-    """Element stiffness for a batch of tets; raises on degenerate cells."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    sigma = np.ascontiguousarray(sigma, dtype=np.float64)
-    ke, vol = _tet_stiffness_numpy(coords, sigma)
-    if coords.shape[0] and np.min(np.abs(vol)) < 1e-300:
-        bad = int(np.argmin(np.abs(vol)))
-        raise AssemblyError(f"degenerate tetrahedron at batch index {bad} (zero volume)")
-    return ke, vol
-
-
-def tri_mass_batch(coords):
-    """Consistent mass matrices for a batch of triangles; rejects slivers."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    me, area = _tri_mass_numpy(coords)
     if coords.shape[0] and np.min(area) < 1e-300:
         bad = int(np.argmin(area))
         raise AssemblyError(f"degenerate triangle at batch index {bad} (zero area)")
-    return me, area
+    base = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    return area[:, None, None] * base, area

@@ -116,7 +116,6 @@ class LocalOperator:
     sub: int
     matrix: sp.csr_matrix    # tau * stiffness + half interface mass
     n_interior: int
-    n_local: int
     neumann: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -135,8 +134,7 @@ def oriented_pair(fg: FaceGroup):
     on gap junctions, so the same physical jump is produced no matter which
     side assembles it."""
     if fg.is_membrane:
-        intra = fg.sub_j if fg.sub_i == 0 else fg.sub_i
-        return intra, 0
+        return fg.sub_j, 0  # membranes have the bath (id 0) as sub_i
     return (fg.sub_i, fg.sub_j) if fg.sub_i < fg.sub_j else (fg.sub_j, fg.sub_i)
 
 
@@ -232,9 +230,7 @@ def assemble_system(
         ).tocsr()
         mat.sum_duplicates()
         local_ops.append(
-            LocalOperator(
-                sub=i, matrix=mat, n_interior=int(dofmap.n_interior[i]), n_local=n
-            )
+            LocalOperator(sub=i, matrix=mat, n_interior=int(dofmap.n_interior[i]))
         )
 
     matrix = (params.tau * stiffness + coupling).tocsr()

@@ -54,8 +54,8 @@ def build_scaling(dofmap: DofMap, sigma: np.ndarray) -> np.ndarray:
     w = np.asarray(sigma, dtype=np.float64)[dofmap.bro_holder]
     if np.any(w <= 0):
         raise ConstraintError("conductivity scaling requires positive weights")
-    total = np.bincount(dofmap.bro_group, weights=w, minlength=dofmap.n_gamma)
-    return w / total[dofmap.bro_group]
+    total = np.bincount(dofmap.bro_gamma, weights=w, minlength=dofmap.n_gamma)
+    return w / total[dofmap.bro_gamma]
 
 
 class _SubstructureSolver:
@@ -225,10 +225,10 @@ class BddcPreconditioner:
     def apply_ED(self, w_bro: np.ndarray) -> np.ndarray:
         """Scaled copy-group averaging on the stacked broken interface."""
         avg = np.bincount(
-            self.dofmap.bro_group, weights=self.delta * w_bro,
+            self.dofmap.bro_gamma, weights=self.delta * w_bro,
             minlength=self.dofmap.n_gamma,
         )
-        return avg[self.dofmap.bro_group]
+        return avg[self.dofmap.bro_gamma]
 
     def apply_PD(self, w_bro: np.ndarray) -> np.ndarray:
         """Complementary jump operator: what averaging throws away."""

@@ -23,7 +23,7 @@ All means are mass-weighted; every row's weights sum to one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -69,16 +69,20 @@ class DofMap:
     global index.
 
     Local ordering per substructure: interior own dofs, interface own dofs,
-    then trace copies grouped by (ascending) neighbour id.  The concatenation
-    of all local interface blocks is the stacked *broken interface* used by
-    the preconditioner; ``gamma_global`` lists the assembled interface
-    unknowns in their compact solver order.
+    then trace copies grouped by (ascending) neighbour id.  The stacked
+    *broken interface* used by the preconditioner is built from these
+    numberings alone: it is the concatenation of all local interface blocks
+    (``bro_ptr`` slices it by holder), and ``bro_gamma`` maps each of its
+    entries through ``local_to_global`` to the assembled unknown it copies.
+    ``gamma_global`` lists the assembled interface unknowns in their compact
+    solver order.  All copies of one side's value at one node share their
+    ``bro_gamma`` entry, so that entry is the broken dof's copy group.
     """
 
     n_substructures: int
     n_global: int
     own_nodes: list          # per sub: sorted node ids of its closure
-    own_offset: np.ndarray   # (N+2,) prefix sums of len(own_nodes)
+    own_offset: np.ndarray   # (N+1,) prefix sums of len(own_nodes)
     n_interior: np.ndarray   # per sub
     n_local: np.ndarray      # per sub, own + copies
     own_local_pos: list      # per sub: local position of k-th sorted own node
@@ -86,15 +90,9 @@ class DofMap:
     copy_nodes: dict         # (i, j) -> node ids (sorted) of that copy block
     local_to_global: list    # per sub: (n_local,) global ids (copies alias owner)
     gamma_global: np.ndarray  # assembled interface dofs in compact order
-    full_to_gamma: np.ndarray  # (n_global,) position in gamma or -1
-    bro_ptr: np.ndarray      # (N+2,) slices of the stacked broken interface
-    bro_holder: np.ndarray
-    bro_side: np.ndarray
-    bro_node: np.ndarray
-    bro_is_own: np.ndarray
+    bro_ptr: np.ndarray      # (N+1,) slices of the stacked broken interface
+    bro_holder: np.ndarray   # substructure holding each broken interface dof
     bro_gamma: np.ndarray    # assembled dof backing each broken interface dof
-    bro_group: np.ndarray    # copy-group id per broken dof (same node & side)
-    multiplicity: np.ndarray  # per mesh node
 
     @property
     def n_gamma(self) -> int:
@@ -118,12 +116,6 @@ class DofMap:
 
     def gamma_slice(self, sub: int) -> slice:
         return slice(self.bro_ptr[sub], self.bro_ptr[sub + 1])
-
-    def local_interface_count(self, sub: int) -> int:
-        return self.n_local[sub] - self.n_interior[sub]
-
-    def copy_group_sizes(self) -> np.ndarray:
-        return np.bincount(self.bro_group)
 
 
 def build_composite_space(mesh: Mesh, topo: InterfaceTopology) -> DofMap:
@@ -170,74 +162,33 @@ def build_composite_space(mesh: Mesh, topo: InterfaceTopology) -> DofMap:
             )
         local_to_global.append(l2g)
 
-    # assembled interface dofs in sub-major, node-sorted order
-    gamma_parts, bro = [], {k: [] for k in ("holder", "side", "node", "own")}
-    for i in range(nsub):
-        iface_nodes = own_nodes[i][mult[own_nodes[i]] >= 2]
-        gamma_parts.append(own_offset[i] + np.searchsorted(own_nodes[i], iface_nodes))
-        bro["holder"].append(np.full(len(iface_nodes), i, np.int64))
-        bro["side"].append(np.full(len(iface_nodes), i, np.int64))
-        bro["node"].append(iface_nodes)
-        bro["own"].append(np.ones(len(iface_nodes), bool))
-        for j in topo.neighbors(i):
-            nodes = copy_nodes[(i, j)]
-            bro["holder"].append(np.full(len(nodes), i, np.int64))
-            bro["side"].append(np.full(len(nodes), j, np.int64))
-            bro["node"].append(nodes)
-            bro["own"].append(np.zeros(len(nodes), bool))
-
-    gamma_global = np.concatenate(gamma_parts) if gamma_parts else np.empty(0, np.int64)
-    full_to_gamma = np.full(n_global, -1, dtype=np.int64)
-    full_to_gamma[gamma_global] = np.arange(len(gamma_global))
-
-    bro_holder = np.concatenate(bro["holder"]) if bro["holder"] else np.empty(0, np.int64)
-    bro_side = np.concatenate(bro["side"]) if bro["side"] else np.empty(0, np.int64)
-    bro_node = np.concatenate(bro["node"]) if bro["node"] else np.empty(0, np.int64)
-    bro_is_own = np.concatenate(bro["own"]) if bro["own"] else np.empty(0, bool)
-
+    # the assembled interface dofs are the own nodes on an interface, in
+    # sub-major, node-sorted order; every interface entry of local_to_global
+    # is one of them, so the search below is exact
+    n_interior = np.array(n_interior, dtype=np.int64)
+    n_iface = n_local - n_interior
     bro_ptr = np.zeros(nsub + 1, dtype=np.int64)
-    for i in range(nsub):
-        n_iface_own = len(own_nodes[i]) - n_interior[i]
-        bro_ptr[i + 1] = bro_ptr[i] + n_iface_own + sum(
-            len(copy_nodes[(i, j)]) for j in topo.neighbors(i)
-        )
-
-    # global id of each broken dof's (side, node): one search per side
-    by_side = np.argsort(bro_side, kind="stable")
-    side_bounds = np.searchsorted(bro_side[by_side], np.arange(nsub + 1))
-    bro_gamma_full = np.empty(len(bro_side), dtype=np.int64)
-    for s in range(nsub):
-        at = by_side[side_bounds[s]:side_bounds[s + 1]]
-        bro_gamma_full[at] = own_offset[s] + np.searchsorted(own_nodes[s], bro_node[at])
-    bro_gamma = full_to_gamma[bro_gamma_full]
-
-    _, bro_group = (
-        np.unique(bro_gamma, return_inverse=True)
-        if len(bro_gamma)
-        else (None, np.empty(0, np.int64))
-    )
+    bro_ptr[1:] = np.cumsum(n_iface)
+    bro_holder = np.repeat(np.arange(nsub, dtype=np.int64), n_iface)
+    gamma_global = np.flatnonzero(mult[np.concatenate(own_nodes)] >= 2)
+    iface = [l2g[n_i:] for l2g, n_i in zip(local_to_global, n_interior)]
+    bro_gamma = np.searchsorted(gamma_global, np.concatenate(iface))
 
     return DofMap(
         n_substructures=nsub,
         n_global=n_global,
         own_nodes=own_nodes,
         own_offset=own_offset,
-        n_interior=np.array(n_interior, dtype=np.int64),
+        n_interior=n_interior,
         n_local=n_local,
         own_local_pos=own_local_pos,
         copy_start=copy_start,
         copy_nodes=copy_nodes,
         local_to_global=local_to_global,
         gamma_global=gamma_global,
-        full_to_gamma=full_to_gamma,
         bro_ptr=bro_ptr,
         bro_holder=bro_holder,
-        bro_side=bro_side,
-        bro_node=bro_node,
-        bro_is_own=bro_is_own,
         bro_gamma=bro_gamma,
-        bro_group=bro_group,
-        multiplicity=mult,
     )
 
 

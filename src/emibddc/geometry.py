@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import tet_stiffness_batch
+from ._kernels import tet_stiffness_batch, tri_mass_batch
 from .errors import MeshError, TopologyError
 
 __all__ = [
@@ -268,8 +268,6 @@ class InterfaceTopology:
 
 
 def _face_lumped_weights(vertices, triangles, nodes):
-    from ._kernels import tri_mass_batch
-
     _, areas = tri_mass_batch(vertices[triangles])
     w = np.zeros(len(nodes))
     idx = np.searchsorted(nodes, triangles)

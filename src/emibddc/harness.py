@@ -104,6 +104,10 @@ class ExperimentConfig:
                 f"unknown experiment '{self.experiment}'; "
                 f"expected one of {', '.join(_EXPERIMENTS)}"
             )
+        if not self.tol > 0:
+            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if self.maxiter < 1:
+            raise ConfigError(f"maxiter must be >= 1, got {self.maxiter}")
         if self.sample_count < 1:
             raise ConfigError("sample_count must be >= 1")
         if self.rhs not in ("random", "imex"):

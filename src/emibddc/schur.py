@@ -33,7 +33,6 @@ class SubstructureBlocks:
     """Interior/interface partition of one broken local operator."""
 
     sub: int
-    k_ii: sp.csr_matrix
     k_ig: sp.csr_matrix
     k_gi: sp.csr_matrix
     k_gg: sp.csr_matrix
@@ -84,8 +83,7 @@ class SchurSystem:
                 interior = None
             self.blocks.append(
                 SubstructureBlocks(
-                    sub=lo.sub, k_ii=k_ii, k_ig=k_ig, k_gi=k_gi, k_gg=k_gg,
-                    interior=interior,
+                    sub=lo.sub, k_ig=k_ig, k_gi=k_gi, k_gg=k_gg, interior=interior,
                 )
             )
 
@@ -93,20 +91,15 @@ class SchurSystem:
     def n(self) -> int:
         return self.dofmap.n_gamma
 
-    def _gather(self, sub: int, v_gamma: np.ndarray) -> np.ndarray:
-        dm = self.dofmap
-        return v_gamma[dm.bro_gamma[dm.gamma_slice(sub)]]
-
     def apply(self, v_gamma: np.ndarray) -> np.ndarray:
-        """Assembled interface operator times an assembled vector."""
+        """Assembled interface operator times an assembled vector: one gather
+        into the stacked broken interface, one scatter back from it."""
         dm = self.dofmap
-        out = np.zeros(dm.n_gamma)
-        for blk in self.blocks:
-            sv = blk.schur_apply(self._gather(blk.sub, v_gamma))
-            out += np.bincount(
-                dm.bro_gamma[dm.gamma_slice(blk.sub)], weights=sv, minlength=dm.n_gamma
-            )
-        return out
+        v_bro = v_gamma[dm.bro_gamma]
+        s_bro = np.concatenate(
+            [blk.schur_apply(v_bro[dm.gamma_slice(blk.sub)]) for blk in self.blocks]
+        )
+        return np.bincount(dm.bro_gamma, weights=s_bro, minlength=dm.n_gamma)
 
     def reduce_rhs(self, f: np.ndarray) -> np.ndarray:
         """Interface right-hand side f_g - K_gI K_II^{-1} f_I (assembled).
@@ -133,12 +126,13 @@ class SchurSystem:
         dm = self.dofmap
         u = np.zeros(dm.n_global)
         u[dm.gamma_global] = u_gamma
+        u_bro = u_gamma[dm.bro_gamma]
         for blk in self.blocks:
             if blk.interior is None:
                 continue
             i = blk.sub
             ids = dm.local_to_global[i][: dm.n_interior[i]]
-            rhs = f[ids] - blk.k_ig @ self._gather(i, u_gamma)
+            rhs = f[ids] - blk.k_ig @ u_bro[dm.gamma_slice(i)]
             u[ids] = blk.interior.solve(rhs)
         return u
 

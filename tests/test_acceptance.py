@@ -311,7 +311,7 @@ def test_criterion_7_invariants():
     ok = True
     for sigma in (ops.sigma, np.array([1.0, 1.0, 1.0]), np.array([5.0, 0.5, 7.0])):
         delta = build_scaling(dm, sigma)
-        sums = np.bincount(dm.bro_group, weights=delta, minlength=dm.n_gamma)
+        sums = np.bincount(dm.bro_gamma, weights=delta, minlength=dm.n_gamma)
         ok = ok and np.allclose(sums, 1.0, rtol=1e-14)
     checks.append(("partition of unity", ok))
 
@@ -321,7 +321,7 @@ def test_criterion_7_invariants():
         sigma = rng.uniform(0.1, 50.0, dm.n_substructures)
         delta = build_scaling(dm, sigma)
         for g in range(dm.n_gamma):
-            members = np.flatnonzero(dm.bro_group == g)
+            members = np.flatnonzero(dm.bro_gamma == g)
             for a in members:
                 for b in members:
                     lhs = sigma[dm.bro_holder[a]] * delta[b] ** 2

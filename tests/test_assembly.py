@@ -161,7 +161,7 @@ def test_local_splitting_reassembles_global(problem_2cell):
     for lo in ops.local_ops:
         g = dm.local_to_global[lo.sub]
         r = sp.csr_matrix(
-            (np.ones(len(g)), (np.arange(len(g)), g)), shape=(lo.n_local, n)
+            (np.ones(len(g)), (np.arange(len(g)), g)), shape=(lo.matrix.shape[0], n)
         )
         acc = acc + r.T @ lo.matrix @ r
     npt.assert_allclose(acc.toarray(), ops.matrix.toarray(), atol=1e-14)

@@ -19,7 +19,7 @@ def test_scaling_values_on_membrane_and_junction(problem_2cell):
     sigma = problem_2cell.operators.sigma  # (20, 3, 3)
     delta = build_scaling(dm, sigma)
     # membrane groups pair a cell (3) with the bath (20)
-    sizes = np.bincount(dm.bro_group, minlength=dm.n_gamma)[dm.bro_group]
+    sizes = np.bincount(dm.bro_gamma, minlength=dm.n_gamma)[dm.bro_gamma]
     two = sizes == 2
     vals = set(np.round(delta[two], 12))
     assert vals == {round(3 / 23, 12), round(20 / 23, 12), 0.5}
@@ -34,7 +34,7 @@ def test_scaling_is_partition_of_unity(problem_2cell):
     dm = problem_2cell.dofmap
     for sigma in ([20.0, 3.0, 3.0], [1.0, 1.0, 1.0], [5.0, 0.5, 7.0]):
         delta = build_scaling(dm, np.array(sigma))
-        sums = np.bincount(dm.bro_group, weights=delta, minlength=dm.n_gamma)
+        sums = np.bincount(dm.bro_gamma, weights=delta, minlength=dm.n_gamma)
         npt.assert_allclose(sums, 1.0, rtol=1e-14)
 
 
@@ -52,7 +52,7 @@ def test_scaling_energy_inequality(problem_2cell):
         sigma = rng.uniform(0.1, 50.0, dm.n_substructures)
         delta = build_scaling(dm, sigma)
         for g in range(dm.n_gamma):
-            members = np.flatnonzero(dm.bro_group == g)
+            members = np.flatnonzero(dm.bro_gamma == g)
             hs = dm.bro_holder[members]
             for a in members:
                 for b in members:
@@ -81,9 +81,9 @@ def test_averaging_weights_two_copies(problem_2cell, precond_2cell_vef):
     """E_D on a two-copy group returns delta1*a + delta2*b on both copies."""
     dm = problem_2cell.dofmap
     pc = precond_2cell_vef
-    sizes = np.bincount(dm.bro_group, minlength=dm.n_gamma)
+    sizes = np.bincount(dm.bro_gamma, minlength=dm.n_gamma)
     g = int(np.flatnonzero(sizes == 2)[0])
-    members = np.flatnonzero(dm.bro_group == g)
+    members = np.flatnonzero(dm.bro_gamma == g)
     w = np.zeros(dm.n_broken)
     w[members] = [2.0, -1.0]
     d1, d2 = pc.delta[members]

@@ -15,8 +15,38 @@ def two_cell_space():
 
 
 def _node_of(dm, sub, pos):
-    """Geometric node of an interface dof given by its local position."""
-    return dm.bro_node[dm.bro_ptr[sub] + np.asarray(pos) - dm.n_interior[sub]]
+    """Geometric node of a local dof (global ids number the own nodes in turn)."""
+    return np.concatenate(dm.own_nodes)[dm.local_to_global[sub][np.asarray(pos)]]
+
+
+def _broken_reference(dm, topo):
+    """(holder, side, node) of every broken interface dof, listed per holder:
+    its own interface nodes, then its copies of each neighbour's side; and
+    the assembled interface dofs (the own entries' global ids) in order."""
+    holder, side, node = [], [], []
+    for i in range(dm.n_substructures):
+        own = dm.own_nodes[i][topo.multiplicity[dm.own_nodes[i]] >= 2]
+        blocks = [(i, own)] + [(j, dm.copy_nodes[(i, j)]) for j in topo.neighbors(i)]
+        for s, nodes in blocks:
+            holder.append(np.full(len(nodes), i, np.int64))
+            side.append(np.full(len(nodes), s, np.int64))
+            node.append(nodes)
+    holder, side, node = (np.concatenate(a) for a in (holder, side, node))
+    is_own = side == holder
+    gamma_global = np.array(
+        [dm.own_offset[s] + np.searchsorted(dm.own_nodes[s], x)
+         for s, x in zip(side[is_own], node[is_own])],
+        dtype=np.int64,
+    )
+    return holder, side, node, gamma_global
+
+
+def _assert_layout(dm, holder, gamma_global):
+    """``bro_ptr``, ``bro_holder`` and ``gamma_global`` match the reference."""
+    sizes = np.bincount(holder, minlength=dm.n_substructures)
+    npt.assert_array_equal(dm.bro_ptr, np.concatenate([[0], np.cumsum(sizes)]))
+    npt.assert_array_equal(dm.bro_holder, holder)
+    npt.assert_array_equal(dm.gamma_global, gamma_global)
 
 
 def test_global_dofs_count_one_per_node_side(two_cell_space):
@@ -31,7 +61,7 @@ def test_global_dofs_count_one_per_node_side(two_cell_space):
 def test_copy_group_sizes(two_cell_space):
     """Face-interior traces are duplicated once; junction traces twice."""
     mesh, topo, dm = two_cell_space
-    sizes = dm.copy_group_sizes()
+    sizes = np.bincount(dm.bro_gamma)
     hist = {int(s): int((sizes == s).sum()) for s in np.unique(sizes)}
     assert hist == {2: 242, 3: 24}
     # the junction ring carries 8 nodes x 3 sides
@@ -42,26 +72,30 @@ def test_copy_group_sizes(two_cell_space):
 
 def test_junction_node_has_nine_broken_dofs(two_cell_space):
     mesh, topo, dm = two_cell_space
+    holder, bro_side, bro_node, gamma_global = _broken_reference(dm, topo)
+    _assert_layout(dm, holder, gamma_global)
     node = topo.junctions[0].nodes[0]
-    at_node = np.flatnonzero(dm.bro_node == node)
+    at_node = np.flatnonzero(bro_node == node)
     assert len(at_node) == 9
     assert sorted(set(dm.bro_holder[at_node])) == [0, 1, 2]
-    assert sorted(set(dm.bro_side[at_node])) == [0, 1, 2]
+    assert sorted(set(bro_side[at_node])) == [0, 1, 2]
 
 
 def test_broken_bookkeeping_consistency(two_cell_space):
     mesh, topo, dm = two_cell_space
+    holder, side, _, gamma_global = _broken_reference(dm, topo)
+    _assert_layout(dm, holder, gamma_global)
     # copies and own entries agree with the per-substructure slices
     for s in range(mesh.n_substructures):
         sl = dm.gamma_slice(s)
-        assert sl.stop - sl.start == dm.local_interface_count(s)
-        assert dm.n_local[s] == dm.n_interior[s] + dm.local_interface_count(s)
-    assert dm.n_broken == sum(dm.local_interface_count(s) for s in range(mesh.n_substructures))
+        assert sl.stop - sl.start == np.sum(holder == s)
+        assert dm.n_local[s] == dm.n_interior[s] + np.sum(holder == s)
+    assert dm.n_broken == len(holder)
     # every broken entry points at a valid compact-gamma slot
     assert dm.bro_gamma.min() >= 0 and dm.bro_gamma.max() < dm.n_gamma
     # each group holds exactly one own entry
     own_per_group = np.zeros(dm.n_gamma, dtype=int)
-    np.add.at(own_per_group, dm.bro_gamma[dm.bro_is_own], 1)
+    np.add.at(own_per_group, dm.bro_gamma[side == holder], 1)
     npt.assert_array_equal(own_per_group, np.ones(dm.n_gamma, dtype=int))
 
 
@@ -186,10 +220,14 @@ def test_bro_gamma_matches_per_dof_lookup(which, patch_mesh, patch_topo):
         )
         topo = extract_interfaces(mesh)
     dm = build_composite_space(mesh, topo)
+    holder, bro_side, bro_node, gamma_global = _broken_reference(dm, topo)
+    _assert_layout(dm, holder, gamma_global)
+    full_to_gamma = np.full(dm.n_global, -1, dtype=np.int64)
+    full_to_gamma[gamma_global] = np.arange(len(gamma_global))
     reference = np.array(
         [
-            dm.full_to_gamma[dm.own_offset[s] + np.searchsorted(dm.own_nodes[s], x)]
-            for s, x in zip(dm.bro_side, dm.bro_node)
+            full_to_gamma[dm.own_offset[s] + np.searchsorted(dm.own_nodes[s], x)]
+            for s, x in zip(bro_side, bro_node)
         ],
         dtype=np.int64,
     )

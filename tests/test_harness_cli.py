@@ -223,6 +223,35 @@ def test_cli_bad_set_syntax_exits_two(capsys):
 def test_cli_unknown_experiment_exits_two(capsys):
     rc = cli.main(["experiment", "warp-speed"])
     assert rc == 2
+    err = capsys.readouterr().err
+    for name in ("random_rhs", "random_sigma", "refinement", "solve", "verify", "weak_scaling"):
+        assert name in err
+
+
+def test_cli_verify_prints_report(capsys):
+    rc = cli.main(["experiment", "verify", "--set", "mesh.cells_x=2", "--variant", "vef"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("[vef] apply_rel_err=")
+    assert "verify: all checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--maxiter", "0"), ("--tol", "-1"), ("--tol", "0")]
+)
+def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
+    """Caught as configuration errors before any mesh is built."""
+    rc = cli.main(["solve", "--set", "mesh.cells_x=2", flag, value])
+    assert rc == 2
+    assert flag.lstrip("-") + " must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": 0}, {"tol": -1e-6}, {"tol": float("nan")}, {"maxiter": 0}]
+)
+def test_config_rejects_nonpositive_tol_and_maxiter(kwargs):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**kwargs)
 
 
 def test_cli_unknown_command_exits_two(capsys):

@@ -3,6 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from emibddc import denseref
+from emibddc.assembly import ModelParams, assemble_system
+from emibddc.femspace import build_composite_space
+from emibddc.geometry import MeshConfig
+from emibddc.harness import build_problem
 from emibddc.schur import condense
 
 
@@ -104,3 +108,26 @@ def test_randomized_psd(small):
     for _ in range(100):
         v = rng.standard_normal(small.schur.n)
         assert v @ small.schur.apply(v) > -1e-10
+
+
+@pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
+def test_apply_equals_per_substructure_scatter(which, patch_mesh, patch_topo):
+    """One gather and one scatter over the stacked broken interface give, bit
+    for bit, the sum of one scatter per substructure."""
+    if which == "patch":
+        dm = build_composite_space(patch_mesh, patch_topo)
+        ops = assemble_system(patch_mesh, patch_topo, dm, ModelParams())
+        sch = condense(dm, ops.local_ops)
+    else:
+        problem = build_problem(MeshConfig(cells_x=2, cells_y=2, cells_z=1), ModelParams())
+        dm, sch = problem.dofmap, problem.schur
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        v = rng.standard_normal(dm.n_gamma)
+        expected = np.zeros(dm.n_gamma)
+        for blk in sch.blocks:
+            ids = dm.bro_gamma[dm.gamma_slice(blk.sub)]
+            expected += np.bincount(
+                ids, weights=blk.schur_apply(v[ids]), minlength=dm.n_gamma
+            )
+        assert np.array_equal(sch.apply(v), expected)
