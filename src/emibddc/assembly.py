@@ -23,6 +23,7 @@ that the subassembled sum over substructures reproduces the global operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +32,7 @@ from ._kernels import tet_stiffness_batch, tri_mass_batch
 from .errors import AssemblyError
 from .femspace import DofMap
 from .geometry import FaceGroup, InterfaceTopology, Mesh
+from .sparsela import SPDSolver
 
 __all__ = [
     "ModelParams",
@@ -107,16 +109,22 @@ class AlievPanfilov:
 class LocalOperator:
     """Broken operator of one substructure in its local dof ordering.
 
-    ``neumann`` belongs to the preconditioner: it maps the tuple of pinned
-    local dofs to the factor of the Neumann matrix on the remaining dofs
-    (see :class:`~emibddc.bddc.BddcPreconditioner`).  It lives as long as
-    the operator, so every primal space built on one problem shares it.
+    ``neumann`` belongs to the preconditioner: the pinned factor of
+    ``matrix``, the Neumann matrix of every primal space (see
+    :class:`~emibddc.bddc.BddcPreconditioner`).  It is built on first use
+    and lives as long as the operator, so every primal space built on one
+    problem shares it.
     """
 
     sub: int
     matrix: sp.csr_matrix    # tau * stiffness + half interface mass
     n_interior: int
-    neumann: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def neumann(self) -> SPDSolver:
+        return SPDSolver(
+            self.matrix, label=f"substructure {self.sub} dual block", pin=True
+        )
 
 
 @dataclass(frozen=True)

@@ -11,24 +11,21 @@ The preconditioner works on the assembled interface unknowns of the reduced
    local basis functions (the *coarse* correction),
 4. scaled prolongation back to the assembled interface.
 
-Each substructure's Neumann matrix ``K_ff`` (its local operator on the dofs
-left after pinning its subdomain vertices, shifted at one entry when nothing
-is pinned) has one sparse LU factorization per problem.  It is stored in
-``LocalOperator.neumann`` under the pinned dofs and lives as long as the
-local operator, so ``vef`` and ``ve``, which pin the same vertices, share
-it; each preconditioner adds only its own multiplier basis ``W`` and dense
-``H`` via :class:`~emibddc.sparsela.ConstrainedSolver`.
+Every primal class -- vertex, edge or face -- is a set of constraint rows,
+one per substructure that holds a copy of the averaged values; a vertex row
+has one local dof with weight one.  All rows are enforced the same way,
+through the multipliers of :class:`~emibddc.sparsela.ConstrainedSolver`, so
+each substructure's Neumann matrix is its full local operator, pinned at
+one entry for its constant kernel.  Its sparse LU factorization is built
+once per problem as ``LocalOperator.neumann`` and shared by ``vef`` and
+``ve``; each preconditioner adds only its own multiplier basis ``W`` and
+dense ``H``.
 
 The coarse basis ``psi`` of a substructure minimizes local energy subject
-to unit value on one class and zero on the others.  A column for a vertex
-pin has the load ``b = -K_fp d_pin`` and costs one sparse solve; a column
-for an average class has ``b = 0``, so with ``g`` its constraint targets
-
-    psi_free = W H^{-1} [g; 0]
-
-and it costs no sparse solve.  The coarse problem is dense and is inverted
-on the orthogonal complement of its one-dimensional kernel (the coarse image
-of the constant vector).
+to unit value on one class and zero on the others; with ``g`` its
+constraint targets it is ``W H^{-1} [g; 0]`` and costs no sparse solve.
+The coarse problem is dense and is inverted on the orthogonal complement of
+its one-dimensional kernel (the coarse image of the constant vector).
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import scipy.sparse as sp
 
 from .errors import ConstraintError, FactorizationError
 from .femspace import ConstraintSet, DofMap
-from .sparsela import ConstrainedSolver, SPDSolver
+from .sparsela import ConstrainedSolver
 
 __all__ = ["build_scaling", "BddcPreconditioner"]
 
@@ -61,87 +58,29 @@ def build_scaling(dofmap: DofMap, sigma: np.ndarray) -> np.ndarray:
 class _SubstructureSolver:
     """Dual solver plus coarse basis of one substructure."""
 
-    def __init__(self, lo, rows, pins, label):
+    def __init__(self, lo, rows, label):
         self.sub = lo.sub
-        n_interior = lo.n_interior
+        self.n_interior = lo.n_interior
         n_loc = lo.matrix.shape[0]
-        pin_dofs = np.array([dof for _, dof in pins], dtype=np.int64)
-        if len(np.unique(pin_dofs)) != len(pin_dofs):
-            raise ConstraintError(f"{label}: repeated vertex dof")
-        free = np.setdiff1d(np.arange(n_loc), pin_dofs)
-        self.n_free = len(free)
-
-        m_r = len(rows)
-        m_loc = m_r + len(pins)
-        self.class_ids = np.array(
-            [cid for cid, _ in rows] + [cid for cid, _ in pins], dtype=np.int64
-        )
-
-        pin_pos = np.full(n_loc, -1, dtype=np.int64)
-        pin_pos[pin_dofs] = np.arange(len(pin_dofs))
-        free_pos = np.full(n_loc, -1, dtype=np.int64)
-        free_pos[free] = np.arange(len(free))
-
-        c_free = sp.lil_matrix((m_r, self.n_free))
-        c_pin = np.zeros((m_r, len(pins)))
+        self.class_ids = np.array([cid for cid, _ in rows], dtype=np.int64)
+        c = sp.lil_matrix((len(rows), n_loc))
         for r, (_, row) in enumerate(rows):
-            fp = free_pos[row.local_dofs]
-            keep = fp >= 0
-            c_free[r, fp[keep]] = row.weights[keep]
-            pp = pin_pos[row.local_dofs[~keep]]
-            c_pin[r, pp] = row.weights[~keep]
+            c[r, row.local_dofs] = row.weights
+        self.solver = ConstrainedSolver(lo.neumann, c.tocsr(), label=label)
 
-        k_csr = lo.matrix.tocsr()
-        key = tuple(sorted(pin_dofs.tolist()))
-        factor = lo.neumann.get(key)
-        if factor is None:
-            factor = lo.neumann[key] = SPDSolver(
-                k_csr[free, :][:, free], label=label, pin=(len(pin_dofs) == 0)
-            )
-        self.solver = ConstrainedSolver(
-            factor, c_free.tocsr() if m_r else None, label=label
-        )
-
-        # energy-minimal coarse basis: unit average on one class, zero on the
-        # rest, vertex dofs pinned to their class indicator; the zero columns
-        # of b (average classes) take no sparse solve
-        d_pin = np.zeros((len(pins), m_loc))
-        for p in range(len(pins)):
-            d_pin[p, m_r + p] = 1.0
-        if len(pin_dofs):
-            k_fp = k_csr[free, :][:, pin_dofs]
-            b = -(k_fp @ d_pin)
-        else:
-            b = np.zeros((self.n_free, m_loc))
-        targets = None
-        if m_r:
-            targets = np.zeros((m_r, m_loc))
-            targets[:, :m_r] = np.eye(m_r)
-            targets -= c_pin @ d_pin
-        psi_free = self.solver.solve(b, targets=targets)
-
-        psi = np.zeros((n_loc, m_loc))
-        psi[free] = psi_free
-        if len(pin_dofs):
-            psi[pin_dofs] = d_pin
-        self.coarse_matrix = psi.T @ (k_csr @ psi)
-        self.psi_gamma = np.ascontiguousarray(psi[n_interior:])
+        # energy-minimal coarse basis: unit value on one class, zero on the rest
+        psi = self.solver.extend(np.eye(len(rows)))
+        self.coarse_matrix = psi.T @ (lo.matrix @ psi)
+        self.psi_gamma = np.ascontiguousarray(psi[self.n_interior:])
 
         # applies only ever need interface rows of the dual solution
-        mask = free >= n_interior
-        self._free_iface = np.nonzero(mask)[0]
-        self._gamma_pos = free[mask] - n_interior
-        self.n_gamma_local = n_loc - n_interior
-        self.solver.compress(self._free_iface)
+        self.solver.compress(np.arange(self.n_interior, n_loc))
 
     def dual_apply(self, r_local: np.ndarray) -> np.ndarray:
         """Constrained Neumann solve for an interface residual (zero primal)."""
-        b = np.zeros(self.n_free)
-        b[self._free_iface] = r_local[self._gamma_pos]
-        u = self.solver.solve(b)
-        out = np.zeros(self.n_gamma_local)
-        out[self._gamma_pos] = u
-        return out
+        b = np.zeros(self.solver.n)
+        b[self.n_interior:] = r_local
+        return self.solver.solve(b)
 
 
 class BddcPreconditioner:
@@ -166,8 +105,7 @@ class BddcPreconditioner:
         self.subs = []
         for lo in local_ops:
             rows = constraints.rows_of(lo.sub)
-            pins = constraints.vertex_members_of(lo.sub)
-            if not rows and not pins:
+            if not rows:
                 raise ConstraintError(
                     f"substructure {lo.sub} carries no primal constraints under "
                     f"variant '{constraints.variant.value}'; its local Neumann "
@@ -175,7 +113,7 @@ class BddcPreconditioner:
                 )
             self.subs.append(
                 _SubstructureSolver(
-                    lo, rows, pins, label=f"substructure {lo.sub} dual block"
+                    lo, rows, label=f"substructure {lo.sub} dual block"
                 )
             )
 

@@ -76,25 +76,15 @@ def _row_to_broken(dofmap, row):
 def difference_rows(dofmap, constraints):
     """All primal identifications as difference functionals on W(Gamma').
 
-    Each class with k rows (or k identified nodal members) contributes
-    k - 1 rows of the form ``member - first member``; their joint null
-    space is the partially assembled space of admissible vectors.
+    Each class with k rows contributes k - 1 rows of the form
+    ``row - first row``; their joint null space is the partially assembled
+    space of admissible vectors.
     """
     rows = []
     for cl in constraints.classes:
-        if cl.kind == "vertex":
-            base_sub, base_dof = cl.members[0]
-            base = np.zeros(dofmap.n_broken)
-            base[dofmap.bro_ptr[base_sub] + base_dof - dofmap.n_interior[base_sub]] = 1.0
-            for sub, dof in cl.members[1:]:
-                r = -base
-                r = r.copy()
-                r[dofmap.bro_ptr[sub] + dof - dofmap.n_interior[sub]] += 1.0
-                rows.append(r)
-        else:
-            base = _row_to_broken(dofmap, cl.rows[0])
-            for row in cl.rows[1:]:
-                rows.append(_row_to_broken(dofmap, row) - base)
+        base = _row_to_broken(dofmap, cl.rows[0])
+        for row in cl.rows[1:]:
+            rows.append(_row_to_broken(dofmap, row) - base)
     if not rows:
         return np.zeros((0, dofmap.n_broken))
     return np.array(rows)

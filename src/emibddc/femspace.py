@@ -9,10 +9,11 @@ sides' interface values; the copies alias the neighbour's global unknowns in
 the assembled problem and become independent local degrees of freedom in the
 broken substructure spaces.
 
-The primal space is described by equivalence classes of constraint rows:
+The primal space is described by equivalence classes of constraint rows,
+one row per substructure holding a copy of the averaged values:
 
 * vertex classes   -- pointwise identification of all copies of one side's
-  value at a subdomain vertex,
+  value at a subdomain vertex (one-dof rows of weight one),
 * edge classes     -- equal line-integral means of all copies of one side
   along a junction edge (endpoint nodes excluded, they are vertex dofs),
 * face classes     -- equal surface-integral means of the two copies of one
@@ -203,13 +204,12 @@ class ConstraintRow:
 
 @dataclass(frozen=True)
 class PrimalClass:
-    """A shared coarse unknown: all member rows/values must coincide."""
+    """A shared coarse unknown: the values of all its rows must coincide."""
 
     kind: str           # "vertex" | "edge" | "face"
     side: int           # whose trace is averaged / identified
     entity: tuple       # (node,) or junction subs or face pair
-    rows: tuple = ()    # ConstraintRow per holder (edge/face classes)
-    members: tuple = () # (sub, local dof) pairs (vertex classes)
+    rows: tuple         # ConstraintRow per holder
 
 
 @dataclass(frozen=True)
@@ -242,26 +242,16 @@ class ConstraintSet:
                     out.append((ci, row))
         return out
 
-    def vertex_members_of(self, sub: int):
-        """(class index, local dof) pairs of vertex classes in one substructure."""
-        out = []
-        for ci, cl in enumerate(self.classes):
-            for s, dof in cl.members:
-                if s == sub:
-                    out.append((ci, dof))
-        return out
-
     def counts(self, sub: int) -> SubstructureConstraintCounts:
         fr = er = 0
         vnodes = set()
         for cl in self.classes:
-            for row in cl.rows:
-                if row.sub == sub:
-                    if cl.kind == "face":
-                        fr += 1
-                    else:
-                        er += 1
-            if cl.kind == "vertex" and any(s == sub for s, _ in cl.members):
+            hosted = sum(row.sub == sub for row in cl.rows)
+            if cl.kind == "face":
+                fr += hosted
+            elif cl.kind == "edge":
+                er += hosted
+            elif hosted:
                 vnodes.add(cl.entity)
         return SubstructureConstraintCounts(fr, er, len(vnodes))
 
@@ -284,21 +274,23 @@ def build_primal_constraints(
 
     vertex_set = set(int(v) for v in topo.subdomain_vertices)
 
+    one = np.ones(1)
     for x in sorted(vertex_set):
+        node = np.array([x])
         for side in topo.node_subs(x):
             side = int(side)
-            members = [(side, int(dofmap.own_positions(side, np.array([x]))[0]))]
+            rows = [ConstraintRow(side, dofmap.own_positions(side, node), one)]
             for holder in topo.node_subs(x):
                 holder = int(holder)
                 if holder == side:
                     continue
-                if _holds_copies(topo, holder, side, np.array([x])):
-                    members.append(
-                        (holder, int(dofmap.copy_positions(holder, side, np.array([x]))[0]))
+                if _holds_copies(topo, holder, side, node):
+                    rows.append(
+                        ConstraintRow(holder, dofmap.copy_positions(holder, side, node), one)
                     )
-            if len(members) >= 2:
+            if len(rows) >= 2:
                 classes.append(
-                    PrimalClass(kind="vertex", side=side, entity=(x,), members=tuple(members))
+                    PrimalClass(kind="vertex", side=side, entity=(x,), rows=tuple(rows))
                 )
 
     for je in topo.junctions:

@@ -25,7 +25,14 @@ from .assembly import (
     project_compatible,
 )
 from .bddc import BddcPreconditioner
-from .errors import ConfigError, ConstraintError, SolverError, VerificationError
+from .errors import (
+    AssemblyError,
+    ConfigError,
+    ConstraintError,
+    MeshError,
+    SolverError,
+    VerificationError,
+)
 from .femspace import PrimalVariant, build_composite_space, build_primal_constraints
 from .geometry import MeshConfig, build_mesh, extract_interfaces
 from .krylov import pcg
@@ -108,6 +115,11 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
         if self.maxiter < 1:
             raise ConfigError(f"maxiter must be >= 1, got {self.maxiter}")
+        if self.stop not in ("rel", "abs"):
+            raise ConfigError(f"stop must be 'rel' or 'abs', got {self.stop!r}")
+        integral = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+        if not integral or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.sample_count < 1:
             raise ConfigError("sample_count must be >= 1")
         if self.rhs not in ("random", "imex"):
@@ -119,6 +131,23 @@ class ExperimentConfig:
                 PrimalVariant.parse(v)
             except ConstraintError as exc:
                 raise ConfigError(str(exc)) from None
+        try:
+            self.study_meshes()
+        except (MeshError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{self.experiment} study: {exc}") from None
+
+    def study_meshes(self) -> list:
+        """The mesh of every operator the study builds, in row order."""
+        if self.experiment == "weak_scaling":
+            return [
+                dataclasses.replace(
+                    self.mesh, cells_x=int(nx), cells_y=int(ny), cells_z=int(nz)
+                )
+                for nx, ny, nz in self.grids
+            ]
+        if self.experiment == "refinement":
+            return [dataclasses.replace(self.mesh, refinement=int(lev)) for lev in self.levels]
+        return [self.mesh]
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentConfig":
@@ -130,10 +159,13 @@ class ExperimentConfig:
         params = data.pop("params", {})
         if not isinstance(mesh, dict) or not isinstance(params, dict):
             raise ConfigError("'mesh' and 'params' must be mappings")
-        mesh_cfg = MeshConfig(**_strict_kwargs(MeshConfig, mesh, "mesh"))
-        if "sigma" in params and params["sigma"] is not None:
-            params["sigma"] = tuple(params["sigma"])
-        params_cfg = ModelParams(**_strict_kwargs(ModelParams, params, "params"))
+        try:
+            mesh_cfg = MeshConfig(**_strict_kwargs(MeshConfig, mesh, "mesh"))
+            if "sigma" in params and params["sigma"] is not None:
+                params["sigma"] = tuple(params["sigma"])
+            params_cfg = ModelParams(**_strict_kwargs(ModelParams, params, "params"))
+        except (MeshError, AssemblyError, TypeError) as exc:
+            raise ConfigError(str(exc)) from None
         for key in ("variants", "grids", "levels"):
             if key in data:
                 seq = data[key]
@@ -307,16 +339,7 @@ def _operators(config: ExperimentConfig):
             problem = build_problem(config.mesh, params)
             yield problem, [random_rhs(problem, rng)]
         return
-    if config.experiment == "weak_scaling":
-        meshes = [
-            dataclasses.replace(config.mesh, cells_x=int(nx), cells_y=int(ny), cells_z=int(nz))
-            for nx, ny, nz in config.grids
-        ]
-    elif config.experiment == "refinement":
-        meshes = [dataclasses.replace(config.mesh, refinement=int(lev)) for lev in config.levels]
-    else:
-        meshes = [config.mesh]
-    for mesh_cfg in meshes:
+    for mesh_cfg in config.study_meshes():
         problem = build_problem(mesh_cfg, config.params)
         rng = np.random.default_rng(config.seed)
         if config.experiment == "random_rhs":

@@ -6,13 +6,14 @@ Two building blocks:
   symmetric positive definite matrix, optionally after the pin shift below.
 
 * :class:`ConstrainedSolver` -- minimizes ``0.5 u^T A u - b^T u`` subject to
-  sparse averaging constraints ``C u = g`` where ``A`` is symmetric positive
-  semidefinite with at most the constant vector in its kernel.  The KKT
-  system is reduced to a dense multiplier problem so that only one sparse
-  LU factorization is needed.  Singular ``A`` is handled by pinning a
-  single entry with a rank-one diagonal shift and compensating through an
-  extra multiplier, which keeps the factorized matrix sparse *and* the
-  reduced system exactly equivalent to the original KKT conditions:
+  sparse constraint rows ``C u = g`` (averages, or single dofs with weight
+  one) where ``A`` is symmetric positive semidefinite with at most the
+  constant vector in its kernel.  The KKT system is reduced to a dense
+  multiplier problem so that only one sparse LU factorization is needed.
+  Singular ``A`` is handled by pinning a single entry with a rank-one
+  diagonal shift and compensating through an extra multiplier, which keeps
+  the factorized matrix sparse *and* the reduced system exactly equivalent
+  to the original KKT conditions:
 
       [A + rho*e_p*e_p^T   Ct^T] [u ]   [b ]          Ct = [C; e_p^T]
       [Ct                   D  ] [nu] = [gt],         D  = diag(0,..,0, 1/rho)
@@ -24,11 +25,13 @@ Two building blocks:
   that solves against several constraint sets builds the :class:`SPDSolver`
   once and hands it to every :class:`ConstrainedSolver`.  With the
   multiplier basis ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T`` and the dense
-  ``H = Ct W - D`` the solution is
+  ``H = Ct W - D`` the solution is the sum of two parts,
 
-      u = y - W H^{-1} (Ct y - [g; 0]),     y = (A + rho*e_p*e_p^T)^{-1} b,
+      solve(b)  = y - W H^{-1} Ct y,     y = (A + rho*e_p*e_p^T)^{-1} b,
+      extend(g) = W H^{-1} [g; 0],
 
-  so a column with ``b = 0`` needs no sparse solve: ``u = W H^{-1} [g; 0]``.
+  the load response with ``C u = 0`` and the unloaded energy-minimal
+  extension of the targets; the second needs no sparse solve.
 """
 
 from __future__ import annotations
@@ -101,14 +104,16 @@ class ConstrainedSolver:
         positive definite.  Several solvers with different constraints may
         share one factor.
     constraints:
-        Sparse constraint rows (``m`` x ``n``); ``None`` means no rows.
+        Sparse constraint rows (``m`` x ``n``).
+
+    :meth:`solve` returns the solution for a load with zero constraint
+    values, :meth:`extend` the one for constraint values with zero load;
+    the solution for both is their sum.
     """
 
-    def __init__(self, factor: SPDSolver, constraints=None, label=""):
+    def __init__(self, factor: SPDSolver, constraints, label=""):
         self.n = factor.n
         self.label = label
-        if constraints is None:
-            constraints = sp.csr_matrix((0, self.n))
         constraints = constraints.tocsr()
         if constraints.shape[1] != self.n:
             raise FactorizationError(
@@ -150,35 +155,30 @@ class ConstrainedSolver:
             self._w = w.reshape(self.n, self._mt)
 
     def compress(self, rows: np.ndarray):
-        """Keep the multiplier basis only at ``rows``; later solves return
-        the solution restricted to those rows."""
+        """Keep the multiplier basis only at ``rows``; later solves and
+        extensions return the solution restricted to those rows."""
         self._rows = np.asarray(rows, dtype=np.int64)
         if self._w is not None:
             self._w = np.ascontiguousarray(self._w[self._rows])
 
-    def solve(self, rhs: np.ndarray, targets: np.ndarray = None) -> np.ndarray:
-        """Constrained solve; ``targets`` are the per-row values of ``C u``.
-
-        After :meth:`compress` the returned array holds only the kept rows.
-        """
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Energy minimizer for the load ``rhs`` (one vector or a block of
+        columns) subject to ``C u = 0``."""
         rhs = np.asarray(rhs, dtype=np.float64)
         squeeze = rhs.ndim == 1
-        rhs = rhs.reshape(self.n, -1)
-        if rhs.shape[1] == 1:
-            # one column, as in every preconditioner application: solved as
-            # is, since looking for zero columns slows the Krylov solve
-            y = self._spd.solve(rhs)
-        else:
-            # zero columns (the average classes of a coarse basis) have y = 0
-            y = np.zeros_like(rhs)
-            loaded = np.flatnonzero(np.any(rhs, axis=0))
-            if len(loaded):
-                y[:, loaded] = self._spd.solve(rhs[:, loaded])
+        y = self._spd.solve(rhs.reshape(self.n, -1))
         out = y if self._rows is None else y[self._rows]
         if self._mt:
-            lam_rhs = self._ct @ y
-            if targets is not None:
-                g = np.asarray(targets, dtype=np.float64).reshape(self.m, -1)
-                lam_rhs[: self.m] -= g
-            out = out - self._w @ sla.lu_solve(self._h_lu, lam_rhs)
+            out = out - self._w @ sla.lu_solve(self._h_lu, self._ct @ y)
+        return out[:, 0] if squeeze else out
+
+    def extend(self, targets: np.ndarray) -> np.ndarray:
+        """Energy minimizer without load subject to ``C u = targets``
+        (``(m,)`` or ``(m, k)``): ``W H^{-1} [g; 0]``, no sparse solve."""
+        g = np.asarray(targets, dtype=np.float64)
+        squeeze = g.ndim == 1
+        g = g.reshape(self.m, -1)
+        lam = np.zeros((self._mt, g.shape[1]))
+        lam[: self.m] = g
+        out = self._w @ sla.lu_solve(self._h_lu, lam)
         return out[:, 0] if squeeze else out

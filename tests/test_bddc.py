@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from emibddc import denseref
 from emibddc.assembly import ModelParams, assemble_system
 from emibddc.bddc import BddcPreconditioner, build_scaling
-from emibddc.errors import ConstraintError
+from emibddc.errors import ConstraintError, FactorizationError
 from emibddc.femspace import build_composite_space, build_primal_constraints
 from emibddc.geometry import Mesh, MeshConfig, build_mesh, extract_interfaces
 from emibddc.harness import Problem, build_problem, make_preconditioner
@@ -92,25 +94,33 @@ def test_averaging_weights_two_copies(problem_2cell, precond_2cell_vef):
     npt.assert_allclose(out[members], expected, rtol=1e-14)
 
 
-def test_apply_matches_dense_oracle(problem_2cell):
+def _assert_apply_matches_dense(problem):
     """Application agrees with the dense realization on the complement of
     the constant vector (the space the projected iteration lives in)."""
     rng = np.random.default_rng(23)
-    g = problem_2cell.kernel_vector()
+    g = problem.kernel_vector()
     proj = lambda v: v - g * (g @ v)
     for variant in ("vef", "ve"):
-        pc = make_preconditioner(problem_2cell, variant)
+        pc = make_preconditioner(problem, variant)
         cs = pc.constraints
         m_dense = denseref.dense_bddc_matrix(
-            problem_2cell.dofmap, cs, problem_2cell.operators.local_ops,
-            problem_2cell.operators.sigma,
+            problem.dofmap, cs, problem.operators.local_ops, problem.operators.sigma,
         )
         for _ in range(3):
-            r = proj(rng.standard_normal(problem_2cell.dofmap.n_gamma))
+            r = proj(rng.standard_normal(problem.dofmap.n_gamma))
             z = proj(pc.apply(r))
             z_dense = proj(m_dense @ r)
             err = np.linalg.norm(z - z_dense) / np.linalg.norm(z_dense)
             assert err < 1e-9
+
+
+def test_apply_matches_dense_oracle(problem_2cell):
+    _assert_apply_matches_dense(problem_2cell)
+
+
+def test_apply_matches_dense_oracle_with_vertex_classes(patch_mesh):
+    """The patch is the only mesh with vertex classes."""
+    _assert_apply_matches_dense(_problem_on("patch", patch_mesh))
 
 
 def test_apply_is_symmetric(problem_2cell, precond_2cell_vef):
@@ -149,8 +159,9 @@ def test_coarse_space_ordering(problem_2cell, precond_2cell_vef, precond_2cell_v
 
 
 def test_coarse_basis_interpolates_constraints(problem_2cell, patch_mesh, patch_topo):
-    """Each coarse basis function carries a unit average on its own class and
-    zero on every other class of the same substructure."""
+    """Each coarse basis function carries a unit value on its own class and
+    zero on every other class of the same substructure, vertex classes
+    included."""
     setups = [
         (problem_2cell.dofmap, problem_2cell.topo, problem_2cell.operators, "vef")
     ]
@@ -161,19 +172,12 @@ def test_coarse_basis_interpolates_constraints(problem_2cell, patch_mesh, patch_
         cs = build_primal_constraints(dm, topo, variant)
         pc = BddcPreconditioner(dm, cs, ops.local_ops, ops.sigma)
         for ss, lo in zip(pc.subs, ops.local_ops):
-            rows = cs.rows_of(ss.sub)
-            pins = cs.vertex_members_of(ss.sub)
             n_i = lo.n_interior
-            for c, (cid, row) in enumerate(rows):
+            for c, (cid, row) in enumerate(cs.rows_of(ss.sub)):
                 applied = ss.psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
                 expected = np.zeros(len(ss.class_ids))
                 expected[c] = 1.0
-                npt.assert_allclose(applied, expected, atol=1e-8)
-            for p, (cid, dof) in enumerate(pins):
-                vals = ss.psi_gamma[dof - n_i]
-                expected = np.zeros(len(ss.class_ids))
-                expected[len(rows) + p] = 1.0
-                npt.assert_allclose(vals, expected, atol=1e-10)
+                npt.assert_allclose(applied, expected, atol=1e-10)
 
 
 def test_jump_operator_gives_extreme_eigenvalue(problem_2cell):
@@ -228,8 +232,8 @@ def test_single_substructure_rejected():
 
 
 def _problem_on(which, patch_mesh):
-    """A problem on the 2x2x1 cell grid (no vertex pins) or on the
-    tetrahedral patch (every substructure has pinned vertex dofs)."""
+    """A problem on the 2x2x1 cell grid (no vertex classes) or on the
+    tetrahedral patch (every substructure hosts vertex rows)."""
     params = ModelParams()
     if which == "cells_2x2x1":
         return build_problem(MeshConfig(cells_x=2, cells_y=2, cells_z=1), params)
@@ -258,13 +262,16 @@ def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypa
     monkeypatch.undo()
 
     dm = problem.dofmap
-    pins = [len(reused.constraints.vertex_members_of(i)) for i in range(dm.n_substructures)]
-    assert all(pins) if which == "patch" else not any(pins)
+    cs = reused.constraints
+    vertex_rows = [
+        sum(cs.classes[cid].kind == "vertex" for cid, _ in cs.rows_of(i))
+        for i in range(dm.n_substructures)
+    ]
+    assert all(vertex_rows) if which == "patch" else not any(vertex_rows)
     interior = [f"interior block {i}" for i in range(dm.n_substructures) if dm.n_interior[i]]
     neumann = [f"substructure {i} dual block" for i in range(dm.n_substructures)]
     assert interior
     assert sorted(labels) == sorted(interior + neumann)
-    assert all(len(lo.neumann) == 1 for lo in problem.operators.local_ops)
 
     fresh = make_preconditioner(_problem_on(which, patch_mesh), "ve")
     r = np.random.default_rng(31).standard_normal(dm.n_gamma)
@@ -273,11 +280,20 @@ def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypa
     if which == "patch":
         # C psi hits its targets: unit on its own class, zero on the others
         for ss, lo in zip(reused.subs, problem.operators.local_ops):
-            rows = reused.constraints.rows_of(ss.sub)
             n_i = lo.n_interior
             expected = np.eye(len(ss.class_ids))
-            for c, (_, row) in enumerate(rows):
+            for c, (_, row) in enumerate(cs.rows_of(ss.sub)):
                 got = ss.psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
                 npt.assert_allclose(got, expected[c], rtol=0, atol=1e-12)
-            for p, (_, dof) in enumerate(reused.constraints.vertex_members_of(ss.sub)):
-                npt.assert_array_equal(ss.psi_gamma[dof - n_i], expected[len(rows) + p])
+
+
+def test_repeated_vertex_row_rejected(patch_mesh):
+    """A vertex class listed twice gives dependent one-dof rows, which the
+    constrained solver refuses."""
+    problem = _problem_on("patch", patch_mesh)
+    cs = build_primal_constraints(problem.dofmap, problem.topo, "ve")
+    vertex = next(cl for cl in cs.classes if cl.kind == "vertex")
+    twice = dataclasses.replace(cs, classes=cs.classes + (vertex,))
+    ops = problem.operators
+    with pytest.raises(FactorizationError, match="dependent constraint rows"):
+        BddcPreconditioner(problem.dofmap, twice, ops.local_ops, ops.sigma)

@@ -175,7 +175,7 @@ def test_vertex_classes_identify_all_copies(patch_mesh, patch_topo):
     cs = build_primal_constraints(dm, patch_topo, "vef")
     vertex_classes = [cl for cl in cs.classes if cl.kind == "vertex"]
     # centroid carries 4 sides with 4 holders each; corners 3 sides x 3 holders
-    sizes = sorted(len(cl.members) for cl in vertex_classes)
+    sizes = sorted(len(cl.rows) for cl in vertex_classes)
     assert len(vertex_classes) == 16
     assert sizes == [3] * 12 + [4] * 4
 
@@ -201,10 +201,13 @@ def test_rows_of_matches_counts(patch_mesh, patch_topo):
     cs = build_primal_constraints(dm, patch_topo, "vef")
     for s in range(4):
         c = cs.counts(s)
-        assert len(cs.rows_of(s)) == c.face_rows + c.edge_rows
-        # every vertex point contributes one member dof per side present there:
-        # the centroid is shared by all four substructures, the corners by three
-        assert len(cs.vertex_members_of(s)) == 4 + 3 * 3
+        # every vertex point contributes one one-dof row per side present
+        # there: the centroid is shared by all four substructures, the
+        # corners by three
+        vertex_rows = [row for ci, row in cs.rows_of(s) if cs.classes[ci].kind == "vertex"]
+        assert len(vertex_rows) == 4 + 3 * 3
+        assert all(len(row.local_dofs) == 1 and row.weights[0] == 1.0 for row in vertex_rows)
+        assert len(cs.rows_of(s)) == c.face_rows + c.edge_rows + len(vertex_rows)
         assert c.vertex_points == 4
 
 

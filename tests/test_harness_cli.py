@@ -247,6 +247,35 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--set", "mesh.cells_x=2", "--set", "stop=bogus"], "stop must be"),
+        (["solve", "--set", "mesh.cells_x=2", "--set", "seed=-1"], "seed must be"),
+        (["solve", "--set", "mesh.cells_x=2", "--set", "seed=1.5"], "seed must be"),
+        (["solve", "--set", "mesh.cells_x=0"], "cells_x must be"),
+        (["solve", "--set", "mesh.cells_x=abc"], "not supported"),
+        (["solve", "--set", "params.tau=-1"], "tau must be"),
+        (
+            [
+                "experiment", "weak-scaling", "--set", "mesh.geometry_kind=convex_cells",
+                "--set", "grids=[[2,1,1],[3,1,1]]",
+            ],
+            "convex_cells supports",
+        ),
+        (["experiment", "weak-scaling", "--set", "grids=[[2,1]]"], "weak_scaling study"),
+        (["experiment", "refinement", "--set", "levels=[-1]"], "refinement must be"),
+    ],
+)
+def test_cli_bad_config_exits_two(argv, message, capsys):
+    """Bad stopping modes, seeds, meshes and model parameters are
+    configuration errors, caught before any study runs."""
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
     "kwargs", [{"tol": 0}, {"tol": -1e-6}, {"tol": float("nan")}, {"maxiter": 0}]
 )
 def test_config_rejects_nonpositive_tol_and_maxiter(kwargs):

@@ -62,7 +62,7 @@ def test_constrained_matches_dense_kkt_spd():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     solver = ConstrainedSolver(SPDSolver(a), c)
-    u = solver.solve(b, targets=g)
+    u = solver.solve(b) + solver.extend(g)
     npt.assert_allclose(u, _dense_kkt(a.toarray(), c.toarray(), b, g), rtol=1e-9)
     npt.assert_allclose(c @ u, g, atol=1e-9)
 
@@ -78,7 +78,7 @@ def test_constrained_matches_dense_kkt_singular():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    u = solver.solve(b, targets=g)
+    u = solver.solve(b) + solver.extend(g)
     # dense reference: KKT with the same pin construction is equivalent to
     # the original singular KKT, which we solve via lstsq on the full system
     n_tot = n + m
@@ -113,7 +113,8 @@ def test_constrained_energy_minimization():
     c = sp.csr_matrix(c_rows)
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    u = ConstrainedSolver(SPDSolver(a, pin=True), c).solve(b, targets=g)
+    solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
+    u = solver.solve(b) + solver.extend(g)
     energy = lambda v: 0.5 * v @ ad @ v - b @ v
     e0 = energy(u)
     basis = np.linalg.svd(c_rows)[2][m:]  # null space of the constraints
@@ -164,14 +165,16 @@ def test_shared_factor_serves_several_constraint_sets():
         c_rows[0] += 1.0
         c = sp.csr_matrix(c_rows)
         g = rng.standard_normal(m)
-        own = ConstrainedSolver(SPDSolver(a, pin=True), c).solve(b, targets=g)
-        shared = ConstrainedSolver(factor, c).solve(b, targets=g)
-        npt.assert_array_equal(shared, own)
+        own = ConstrainedSolver(SPDSolver(a, pin=True), c)
+        shared = ConstrainedSolver(factor, c)
+        npt.assert_array_equal(
+            shared.solve(b) + shared.extend(g), own.solve(b) + own.extend(g)
+        )
 
 
-def test_block_solve_with_zero_columns(monkeypatch):
-    """Zero load columns give W H^{-1} [g; 0] without a sparse solve: they
-    match a column-by-column solve and meet their targets."""
+def test_extend_takes_no_sparse_solve(monkeypatch):
+    """Constraint targets without a load give W H^{-1} [g; 0]: no sparse
+    solve, and every column meets its targets."""
     rng = np.random.default_rng(8)
     n, m = 20, 3
     a = _random_psd_with_constant_kernel(n, rng)
@@ -179,20 +182,19 @@ def test_block_solve_with_zero_columns(monkeypatch):
     c_rows[0] += 1.0
     c = sp.csr_matrix(c_rows)
     solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    b = np.zeros((n, 4))
-    b[:, 2] = rng.standard_normal(n)
     g = rng.standard_normal((m, 4))
-    widths = []
+    calls = []
     original = SPDSolver.solve
 
     def counting(self, rhs):
-        widths.append(rhs.shape[1])
+        calls.append(rhs.shape)
         return original(self, rhs)
 
     monkeypatch.setattr(SPDSolver, "solve", counting)
-    u = solver.solve(b, targets=g)
+    u = solver.extend(g)
+    single = solver.extend(g[:, 2])
     monkeypatch.undo()
-    assert widths == [1]
-    for k in range(4):
-        npt.assert_allclose(u[:, k], solver.solve(b[:, k], targets=g[:, k]), rtol=1e-12, atol=1e-12)
+    assert calls == []
+    assert u.shape == (n, 4)
+    npt.assert_allclose(single, u[:, 2], rtol=1e-12, atol=1e-12)
     npt.assert_allclose(c @ u, g, atol=1e-10)
