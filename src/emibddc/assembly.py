@@ -7,9 +7,10 @@ every region with capacitive/resistive transmission across the interfaces:
 
 where ``A`` is the conduction stiffness (block diagonal over regions, scaled
 by each region's conductivity) and ``M`` penalises the potential jumps across
-every interface patch with a surface mass matrix times the membrane
-capacitance.  ``K`` is symmetric positive semidefinite with a one-dimensional
-kernel (global constants).
+every patch between two regions with a surface mass matrix times the
+membrane capacitance; a conforming patch (two substructures of one region)
+carries no jump and no mass.  ``K`` is symmetric positive semidefinite with
+a one-dimensional kernel (global constants).
 
 The right-hand side carries the previous potential jump through the same
 surface mass matrices, minus ``tau`` times the transmission current density:
@@ -31,7 +32,7 @@ import scipy.sparse as sp
 from ._kernels import tet_stiffness_batch, tri_mass_batch
 from .errors import AssemblyError
 from .femspace import DofMap
-from .geometry import FaceGroup, InterfaceTopology, Mesh
+from .geometry import BATH, FaceGroup, InterfaceTopology, Mesh
 from .sparsela import SPDSolver
 
 __all__ = [
@@ -58,28 +59,35 @@ class ModelParams:
     c_m: float = 1.0             # membrane capacitance, uF/cm^2
     tau: float = 0.01            # time step, ms
     r_gap: float = 4.5e-4        # gap-junction area resistance, kOhm*cm^2
-    sigma: tuple = None          # optional per-substructure override
+    sigma: tuple = None          # optional per-region override, bath first
 
     def __post_init__(self):
         for name in ("sigma_intra", "sigma_extra", "c_m", "tau", "r_gap"):
             if not getattr(self, name) > 0:
                 raise AssemblyError(f"{name} must be positive")
         if self.sigma is not None:
-            object.__setattr__(self, "sigma", tuple(float(s) for s in self.sigma))
+            try:
+                sigma = tuple(float(s) for s in self.sigma)
+            except (TypeError, ValueError):
+                raise AssemblyError(
+                    f"sigma must be a sequence of conductivities, got {self.sigma!r}"
+                ) from None
+            object.__setattr__(self, "sigma", sigma)
             if any(s <= 0 for s in self.sigma):
                 raise AssemblyError("all conductivities must be positive")
 
-    def conductivities(self, n_substructures: int) -> np.ndarray:
-        """Per-substructure conductivity; region 0 is the extracellular bath."""
+    def conductivities(self, n_regions: int) -> np.ndarray:
+        """Per-region conductivity: ``sigma_extra`` in the bath (region
+        ``BATH``), ``sigma_intra`` in every cell, unless overridden."""
         if self.sigma is not None:
-            if len(self.sigma) != n_substructures:
+            if len(self.sigma) != n_regions:
                 raise AssemblyError(
                     f"sigma override has {len(self.sigma)} entries, "
-                    f"mesh has {n_substructures} substructures"
+                    f"mesh has {n_regions} regions"
                 )
             return np.asarray(self.sigma, dtype=np.float64)
-        out = np.full(n_substructures, self.sigma_intra, dtype=np.float64)
-        out[0] = self.sigma_extra
+        out = np.full(n_regions, self.sigma_intra, dtype=np.float64)
+        out[BATH] = self.sigma_extra
         return out
 
 
@@ -133,17 +141,20 @@ class SystemOperators:
     coupling: sp.csr_matrix   # M, global
     matrix: sp.csr_matrix     # K = tau*A + M
     local_ops: tuple
-    sigma: np.ndarray
+    sigma: np.ndarray         # per region
     params: ModelParams
 
 
 def oriented_pair(fg: FaceGroup):
-    """Jump orientation of a patch: (cell, bath) on membranes, ids ascending
-    on gap junctions, so the same physical jump is produced no matter which
-    side assembles it."""
+    """Jump orientation of a patch as ``(lead, other)`` regions: (cell, bath)
+    on membranes, region ids ascending on gap junctions, so the same
+    physical jump is produced no matter which side assembles it.  A
+    conforming patch has no jump and raises :class:`AssemblyError`."""
+    if fg.kind == "conforming":
+        raise AssemblyError(f"conforming patch ({fg.sub_i},{fg.sub_j}) carries no jump")
     if fg.is_membrane:
-        return fg.sub_j, 0  # membranes have the bath (id 0) as sub_i
-    return (fg.sub_i, fg.sub_j) if fg.sub_i < fg.sub_j else (fg.sub_j, fg.sub_i)
+        return (fg.region_j if fg.region_i == BATH else fg.region_i), BATH
+    return min(fg.region_i, fg.region_j), max(fg.region_i, fg.region_j)
 
 
 def _coo_blocks(rows3, cols3, blocks):
@@ -162,18 +173,21 @@ def assemble_system(
 ) -> SystemOperators:
     """Assemble the global step operator and the broken local operators."""
     nsub = mesh.n_substructures
-    sigma = params.conductivities(nsub)
+    region = mesh.sub_region
+    sigma = params.conductivities(mesh.n_regions)
     ngd = dofmap.n_global
 
     glob_rows, glob_cols, glob_vals = [], [], []
     loc_entries = [([], [], []) for _ in range(nsub)]
 
-    # conduction stiffness, one decoupled block per substructure
+    # conduction stiffness, one decoupled block per region
     stiff_rows, stiff_cols, stiff_vals = [], [], []
     for i in range(nsub):
         tets = mesh.tets[mesh.tet_sub == i]
-        ke, _ = tet_stiffness_batch(mesh.vertices[tets], np.full(len(tets), sigma[i]))
-        gids = dofmap.global_own(i, tets.ravel()).reshape(tets.shape)
+        ke, _ = tet_stiffness_batch(
+            mesh.vertices[tets], np.full(len(tets), sigma[region[i]])
+        )
+        gids = dofmap.global_own(region[i], tets.ravel()).reshape(tets.shape)
         r, c, v = _coo_blocks(gids, gids, ke)
         stiff_rows.append(r)
         stiff_cols.append(c)
@@ -193,10 +207,12 @@ def assemble_system(
 
     # interface jump coupling: c_m * [[Mf, -Mf], [-Mf, Mf]] per patch
     for fg in topo.faces:
+        if fg.kind == "conforming":
+            continue  # one region on both sides: no jump to penalise
         mf, _ = tri_mass_batch(mesh.vertices[fg.triangles])
         mf = params.c_m * mf
-        gi = dofmap.global_own(fg.sub_i, fg.triangles.ravel()).reshape(fg.triangles.shape)
-        gj = dofmap.global_own(fg.sub_j, fg.triangles.ravel()).reshape(fg.triangles.shape)
+        gi = dofmap.global_own(fg.region_i, fg.triangles.ravel()).reshape(fg.triangles.shape)
+        gj = dofmap.global_own(fg.region_j, fg.triangles.ravel()).reshape(fg.triangles.shape)
         for rows3, cols3, s in ((gi, gi, 1.0), (gi, gj, -1.0), (gj, gi, -1.0), (gj, gj, 1.0)):
             r, c, v = _coo_blocks(rows3, cols3, s * mf)
             glob_rows.append(r)
@@ -205,11 +221,11 @@ def assemble_system(
 
         # half of the block into each touching substructure's broken operator
         li_own = dofmap.own_positions(fg.sub_i, fg.triangles.ravel()).reshape(fg.triangles.shape)
-        li_cp = dofmap.copy_positions(fg.sub_i, fg.sub_j, fg.triangles.ravel()).reshape(
+        li_cp = dofmap.copy_positions(fg.sub_i, fg.region_j, fg.triangles.ravel()).reshape(
             fg.triangles.shape
         )
         lj_own = dofmap.own_positions(fg.sub_j, fg.triangles.ravel()).reshape(fg.triangles.shape)
-        lj_cp = dofmap.copy_positions(fg.sub_j, fg.sub_i, fg.triangles.ravel()).reshape(
+        lj_cp = dofmap.copy_positions(fg.sub_j, fg.region_i, fg.triangles.ravel()).reshape(
             fg.triangles.shape
         )
         for sub, a, b in ((fg.sub_i, li_own, li_cp), (fg.sub_j, lj_own, lj_cp)):
@@ -270,7 +286,7 @@ class MembraneState:
 
 
 def compute_jump(dofmap: DofMap, fg: FaceGroup, u: np.ndarray) -> np.ndarray:
-    """Oriented potential jump at the patch nodes: leading side minus other."""
+    """Oriented potential jump at the patch nodes: leading region minus other."""
     lead, other = oriented_pair(fg)
     return u[dofmap.global_own(lead, fg.nodes)] - u[dofmap.global_own(other, fg.nodes)]
 
@@ -293,6 +309,8 @@ def assemble_rhs(
     kinetics = kinetics or AlievPanfilov()
     f = np.zeros(dofmap.n_global)
     for fg in topo.faces:
+        if fg.kind == "conforming":
+            continue
         mf, _ = tri_mass_batch(mesh.vertices[fg.triangles])
         lead, other = oriented_pair(fg)
         v = compute_jump(dofmap, fg, u_prev)

@@ -44,11 +44,12 @@ __all__ = ["build_scaling", "BddcPreconditioner"]
 def build_scaling(dofmap: DofMap, sigma: np.ndarray) -> np.ndarray:
     """Conductivity-weighted partition of unity on the broken interface.
 
-    Every broken interface dof is weighted by its *holder's* conductivity,
-    normalized over its copy group, so multiplying by the scaling twice
-    (restriction and prolongation) averages copy groups exactly once.
+    Every broken interface dof is weighted by the conductivity of its
+    *holder's* region (``sigma`` is per region), normalized over its copy
+    group, so multiplying by the scaling twice (restriction and
+    prolongation) averages copy groups exactly once.
     """
-    w = np.asarray(sigma, dtype=np.float64)[dofmap.bro_holder]
+    w = np.asarray(sigma, dtype=np.float64)[dofmap.sub_region[dofmap.bro_holder]]
     if np.any(w <= 0):
         raise ConstraintError("conductivity scaling requires positive weights")
     total = np.bincount(dofmap.bro_gamma, weights=w, minlength=dofmap.n_gamma)

@@ -1,13 +1,15 @@
 """Composite discontinuous finite-element spaces on substructured meshes.
 
-Every substructure i carries P1 nodal unknowns on the closure of its own
-region.  Interface values are therefore duplicated: at a membrane node both
-touching substructures own an independent value ("side i" and "side j"), and
-potentials jump across the interface.  For the preconditioner each
-substructure additionally holds local *trace copies* of the neighbouring
-sides' interface values; the copies alias the neighbour's global unknowns in
-the assembled problem and become independent local degrees of freedom in the
-broken substructure spaces.
+Every region (the bath, each cell) carries P1 nodal unknowns on its own
+closure.  Interface values are therefore duplicated across regions: at a
+membrane node the bath and the cell each own an independent value (two
+*sides*), and potentials jump across the interface.  Substructures of one
+region share that region's unknowns; a node they share is an ordinary
+conforming interface dof.  For the preconditioner each substructure
+additionally holds local *trace copies* of the other regions' interface
+values on the faces it shares with them; the copies alias those regions'
+global unknowns in the assembled problem and become independent local
+degrees of freedom in the broken substructure spaces.
 
 The primal space is described by equivalence classes of constraint rows,
 one row per substructure holding a copy of the averaged values:
@@ -38,7 +40,6 @@ __all__ = [
     "PrimalClass",
     "ConstraintRow",
     "ConstraintSet",
-    "SubstructureConstraintCounts",
     "build_composite_space",
     "build_primal_constraints",
 ]
@@ -64,13 +65,14 @@ class PrimalVariant(str, Enum):
 class DofMap:
     """Numbering of global (assembled) and local (broken) degrees of freedom.
 
-    Global unknowns are the *own* nodal values of every substructure; a mesh
-    node shared by m substructures carries m distinct global unknowns (one per
-    side).  Trace copies exist only locally and map onto the owning side's
-    global index.
+    Global unknowns are the nodal values of every region, numbered region by
+    region in node order; a mesh node shared by m regions carries m distinct
+    global unknowns (one per side).  Each substructure owns the unknowns of
+    its region on its closure.  Trace copies exist only locally and map onto
+    the copied region's global index.
 
     Local ordering per substructure: interior own dofs, interface own dofs,
-    then trace copies grouped by (ascending) neighbour id.  The stacked
+    then trace copies grouped by (ascending) copied region.  The stacked
     *broken interface* used by the preconditioner is built from these
     numberings alone: it is the concatenation of all local interface blocks
     (``bro_ptr`` slices it by holder), and ``bro_gamma`` maps each of its
@@ -82,13 +84,15 @@ class DofMap:
 
     n_substructures: int
     n_global: int
+    sub_region: np.ndarray   # (N,) region of each substructure
+    region_nodes: list       # per region: sorted node ids of its closure
+    region_offset: np.ndarray  # (R+1,) prefix sums of len(region_nodes)
     own_nodes: list          # per sub: sorted node ids of its closure
-    own_offset: np.ndarray   # (N+1,) prefix sums of len(own_nodes)
     n_interior: np.ndarray   # per sub
     n_local: np.ndarray      # per sub, own + copies
     own_local_pos: list      # per sub: local position of k-th sorted own node
-    copy_start: dict         # (i, j) -> local position of i's copies of side j
-    copy_nodes: dict         # (i, j) -> node ids (sorted) of that copy block
+    copy_start: dict         # (i, r) -> local position of i's copies of region r
+    copy_nodes: dict         # (i, r) -> node ids (sorted) of that copy block
     local_to_global: list    # per sub: (n_local,) global ids (copies alias owner)
     gamma_global: np.ndarray  # assembled interface dofs in compact order
     bro_ptr: np.ndarray      # (N+1,) slices of the stacked broken interface
@@ -107,13 +111,22 @@ class DofMap:
         """Local positions of the given own nodes of ``sub``."""
         return self.own_local_pos[sub][np.searchsorted(self.own_nodes[sub], nodes)]
 
-    def copy_positions(self, sub: int, side: int, nodes) -> np.ndarray:
-        """Local positions of ``sub``'s trace copies of ``side`` at ``nodes``."""
-        block = self.copy_nodes[(sub, side)]
-        return self.copy_start[(sub, side)] + np.searchsorted(block, nodes)
+    def copy_positions(self, sub: int, region: int, nodes) -> np.ndarray:
+        """Local positions of ``sub``'s trace copies of ``region`` at ``nodes``."""
+        block = self.copy_nodes[(sub, region)]
+        return self.copy_start[(sub, region)] + np.searchsorted(block, nodes)
 
-    def global_own(self, sub: int, nodes) -> np.ndarray:
-        return self.own_offset[sub] + np.searchsorted(self.own_nodes[sub], nodes)
+    def holds_copies(self, sub: int, region: int, nodes) -> bool:
+        """Whether ``sub`` holds trace copies of ``region`` at all ``nodes``."""
+        block = self.copy_nodes.get((sub, region))
+        if block is None:
+            return False
+        pos = np.minimum(np.searchsorted(block, nodes), len(block) - 1)
+        return bool(np.all(block[pos] == nodes))
+
+    def global_own(self, region: int, nodes) -> np.ndarray:
+        """Global ids of ``region``'s unknowns at ``nodes``."""
+        return self.region_offset[region] + np.searchsorted(self.region_nodes[region], nodes)
 
     def gamma_slice(self, sub: int) -> slice:
         return slice(self.bro_ptr[sub], self.bro_ptr[sub + 1])
@@ -122,6 +135,7 @@ class DofMap:
 def build_composite_space(mesh: Mesh, topo: InterfaceTopology) -> DofMap:
     """Construct the dof numbering for a substructured mesh."""
     nsub = mesh.n_substructures
+    region = mesh.sub_region
     mult = topo.multiplicity
 
     own_nodes, n_interior, own_local_pos = [], [], []
@@ -136,50 +150,60 @@ def build_composite_space(mesh: Mesh, topo: InterfaceTopology) -> DofMap:
         pos[on_iface] = n_interior[-1] + np.arange(int(on_iface.sum()))
         own_local_pos.append(pos)
 
-    own_offset = np.zeros(nsub + 1, dtype=np.int64)
-    own_offset[1:] = np.cumsum([len(n) for n in own_nodes])
-    n_global = int(own_offset[-1])
+    region_nodes = [
+        np.unique(np.concatenate([own_nodes[i] for i in np.flatnonzero(region == r)]))
+        for r in range(mesh.n_regions)
+    ]
+    region_offset = np.zeros(mesh.n_regions + 1, dtype=np.int64)
+    region_offset[1:] = np.cumsum([len(n) for n in region_nodes])
 
+    # trace copies: a substructure copies another region's values at the
+    # nodes of the faces it shares with that region; a conforming face
+    # (one region on both sides) shares its unknowns and needs none
+    copy_faces = {}
+    for fg in topo.faces:
+        if fg.kind != "conforming":
+            copy_faces.setdefault((fg.sub_i, fg.region_j), []).append(fg.nodes)
+            copy_faces.setdefault((fg.sub_j, fg.region_i), []).append(fg.nodes)
     copy_start, copy_nodes = {}, {}
-    n_local = np.zeros(nsub, dtype=np.int64)
-    for i in range(nsub):
-        n_local[i] = len(own_nodes[i])
-    for i in range(nsub):
-        for j in topo.neighbors(i):
-            fg = topo.face_group(i, j)
-            copy_start[(i, j)] = int(n_local[i])
-            copy_nodes[(i, j)] = fg.nodes
-            n_local[i] += len(fg.nodes)
+    n_local = np.array([len(n) for n in own_nodes], dtype=np.int64)
+    for key in sorted(copy_faces):
+        copy_start[key] = int(n_local[key[0]])
+        copy_nodes[key] = np.unique(np.concatenate(copy_faces[key]))
+        n_local[key[0]] += len(copy_nodes[key])
+
+    def global_ids(r, nodes):
+        return region_offset[r] + np.searchsorted(region_nodes[r], nodes)
 
     local_to_global = []
     for i in range(nsub):
         l2g = np.empty(n_local[i], dtype=np.int64)
-        l2g[own_local_pos[i]] = own_offset[i] + np.arange(len(own_nodes[i]))
-        for j in topo.neighbors(i):
-            start = copy_start[(i, j)]
-            nodes = copy_nodes[(i, j)]
-            l2g[start:start + len(nodes)] = own_offset[j] + np.searchsorted(
-                own_nodes[j], nodes
-            )
+        l2g[own_local_pos[i]] = global_ids(region[i], own_nodes[i])
         local_to_global.append(l2g)
+    for (i, r), nodes in copy_nodes.items():
+        start = copy_start[(i, r)]
+        local_to_global[i][start:start + len(nodes)] = global_ids(r, nodes)
 
-    # the assembled interface dofs are the own nodes on an interface, in
-    # sub-major, node-sorted order; every interface entry of local_to_global
-    # is one of them, so the search below is exact
+    # the assembled interface dofs are the region unknowns at nodes shared by
+    # two or more substructures, in region-major, node-sorted order; every
+    # interface entry of local_to_global is one of them, so the search below
+    # is exact
     n_interior = np.array(n_interior, dtype=np.int64)
     n_iface = n_local - n_interior
     bro_ptr = np.zeros(nsub + 1, dtype=np.int64)
     bro_ptr[1:] = np.cumsum(n_iface)
     bro_holder = np.repeat(np.arange(nsub, dtype=np.int64), n_iface)
-    gamma_global = np.flatnonzero(mult[np.concatenate(own_nodes)] >= 2)
+    gamma_global = np.flatnonzero(mult[np.concatenate(region_nodes)] >= 2)
     iface = [l2g[n_i:] for l2g, n_i in zip(local_to_global, n_interior)]
     bro_gamma = np.searchsorted(gamma_global, np.concatenate(iface))
 
     return DofMap(
         n_substructures=nsub,
-        n_global=n_global,
+        n_global=int(region_offset[-1]),
+        sub_region=region,
+        region_nodes=region_nodes,
+        region_offset=region_offset,
         own_nodes=own_nodes,
-        own_offset=own_offset,
         n_interior=n_interior,
         n_local=n_local,
         own_local_pos=own_local_pos,
@@ -207,20 +231,9 @@ class PrimalClass:
     """A shared coarse unknown: the values of all its rows must coincide."""
 
     kind: str           # "vertex" | "edge" | "face"
-    side: int           # whose trace is averaged / identified
+    side: int           # substructure whose trace is averaged / identified
     entity: tuple       # (node,) or junction subs or face pair
     rows: tuple         # ConstraintRow per holder
-
-
-@dataclass(frozen=True)
-class SubstructureConstraintCounts:
-    face_rows: int
-    edge_rows: int
-    vertex_points: int
-
-    @property
-    def total(self) -> int:
-        return self.face_rows + self.edge_rows + self.vertex_points
 
 
 @dataclass(frozen=True)
@@ -242,34 +255,36 @@ class ConstraintSet:
                     out.append((ci, row))
         return out
 
-    def counts(self, sub: int) -> SubstructureConstraintCounts:
-        fr = er = 0
-        vnodes = set()
-        for cl in self.classes:
-            hosted = sum(row.sub == sub for row in cl.rows)
-            if cl.kind == "face":
-                fr += hosted
-            elif cl.kind == "edge":
-                er += hosted
-            elif hosted:
-                vnodes.add(cl.entity)
-        return SubstructureConstraintCounts(fr, er, len(vnodes))
 
-
-def _holds_copies(topo, holder, side, nodes) -> bool:
-    fg = topo.face_group(holder, side)
-    if fg is None:
-        return False
-    pos = np.searchsorted(fg.nodes, nodes)
-    pos = np.clip(pos, 0, len(fg.nodes) - 1)
-    return bool(np.all(fg.nodes[pos] == nodes))
+def _class_rows(dofmap: DofMap, side: int, holders, nodes, weights) -> list:
+    """The own row of ``side`` at ``nodes``, then one copy row for every
+    holder that keeps trace copies of the side's region there."""
+    region = int(dofmap.sub_region[side])
+    rows = [ConstraintRow(side, dofmap.own_positions(side, nodes), weights)]
+    for holder in holders:
+        holder = int(holder)
+        if dofmap.holds_copies(holder, region, nodes):
+            rows.append(
+                ConstraintRow(holder, dofmap.copy_positions(holder, region, nodes), weights)
+            )
+    return rows
 
 
 def build_primal_constraints(
     dofmap: DofMap, topo: InterfaceTopology, variant=PrimalVariant.VEF
 ) -> ConstraintSet:
-    """Enumerate the primal classes of the requested variant."""
+    """Enumerate the primal classes of the requested variant.
+
+    Raises :class:`ConstraintError` on a conforming face (two substructures
+    of one region): its primal classes are not defined yet.
+    """
     variant = PrimalVariant.parse(variant)
+    conforming = [(fg.sub_i, fg.sub_j) for fg in topo.faces if fg.kind == "conforming"]
+    if conforming:
+        raise ConstraintError(
+            f"conforming faces {conforming} join substructures of one region; "
+            "primal classes for them are not implemented"
+        )
     classes = []
 
     vertex_set = set(int(v) for v in topo.subdomain_vertices)
@@ -278,19 +293,10 @@ def build_primal_constraints(
     for x in sorted(vertex_set):
         node = np.array([x])
         for side in topo.node_subs(x):
-            side = int(side)
-            rows = [ConstraintRow(side, dofmap.own_positions(side, node), one)]
-            for holder in topo.node_subs(x):
-                holder = int(holder)
-                if holder == side:
-                    continue
-                if _holds_copies(topo, holder, side, node):
-                    rows.append(
-                        ConstraintRow(holder, dofmap.copy_positions(holder, side, node), one)
-                    )
+            rows = _class_rows(dofmap, int(side), topo.node_subs(x), node, one)
             if len(rows) >= 2:
                 classes.append(
-                    PrimalClass(kind="vertex", side=side, entity=(x,), rows=tuple(rows))
+                    PrimalClass(kind="vertex", side=int(side), entity=(x,), rows=tuple(rows))
                 )
 
     for je in topo.junctions:
@@ -304,14 +310,7 @@ def build_primal_constraints(
             raise ConstraintError(f"degenerate junction edge {je.subs} (zero measure)")
         w = w / total
         for side in je.subs:
-            rows = [ConstraintRow(side, dofmap.own_positions(side, nodes), w)]
-            for holder in je.subs:
-                if holder == side:
-                    continue
-                if _holds_copies(topo, holder, side, nodes):
-                    rows.append(
-                        ConstraintRow(holder, dofmap.copy_positions(holder, side, nodes), w)
-                    )
+            rows = _class_rows(dofmap, side, je.subs, nodes, w)
             classes.append(
                 PrimalClass(kind="edge", side=side, entity=je.subs, rows=tuple(rows))
             )
@@ -324,13 +323,10 @@ def build_primal_constraints(
                 )
             w = fg.node_weights / fg.area
             for side, other in ((fg.sub_i, fg.sub_j), (fg.sub_j, fg.sub_i)):
-                rows = (
-                    ConstraintRow(side, dofmap.own_positions(side, fg.nodes), w),
-                    ConstraintRow(other, dofmap.copy_positions(other, side, fg.nodes), w),
-                )
+                rows = _class_rows(dofmap, side, (other,), fg.nodes, w)
                 classes.append(
                     PrimalClass(
-                        kind="face", side=side, entity=(fg.sub_i, fg.sub_j), rows=rows
+                        kind="face", side=side, entity=(fg.sub_i, fg.sub_j), rows=tuple(rows)
                     )
                 )
 

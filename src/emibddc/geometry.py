@@ -14,8 +14,13 @@ region containing their center:
   edge, so every intracellular region is convex and touches only the
   extracellular space.
 
-Substructure 0 is the connected extracellular medium; substructures
-``1..N`` are the intracellular cells.
+Every tet belongs to a *substructure* (a subdomain of the domain
+decomposition) and every substructure to a *region* of the model: region
+``BATH`` (0) is the connected extracellular medium and region ``k >= 1`` is
+cell ``k``.  The potential jumps across a face between two regions (a
+membrane or a gap junction); a face between two substructures of one region
+is an ordinary conforming interface.  :func:`build_mesh` emits one
+substructure per region.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from ._kernels import tet_stiffness_batch, tri_mass_batch
 from .errors import MeshError, TopologyError
 
 __all__ = [
+    "BATH",
     "MeshConfig",
     "Mesh",
     "FaceGroup",
@@ -68,6 +74,13 @@ def _kuhn_table():
 
 _KUHN = _kuhn_table()
 
+#: region id of the extracellular bath; region k >= 1 is cell k
+BATH = 0
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class MeshConfig:
@@ -82,14 +95,19 @@ class MeshConfig:
     cell_edge_mm: float = 0.1
 
     def __post_init__(self):
-        for name in ("cells_x", "cells_y", "cells_z"):
-            if getattr(self, name) < 1:
-                raise MeshError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.refinement < 0:
-            raise MeshError(f"refinement must be >= 0, got {self.refinement}")
-        if self.base_resolution < 2 or self.base_resolution % 2:
+        lows = dict(cells_x=1, cells_y=1, cells_z=1, refinement=0, base_resolution=2)
+        for name, low in lows.items():
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise MeshError(
+                    f"{name} must be an integer; {type(value).__name__} {value!r} "
+                    "is not supported"
+                )
+            if value < low:
+                raise MeshError(f"{name} must be >= {low}, got {value}")
+        if self.base_resolution % 2:
             raise MeshError(
-                f"base_resolution must be a positive even number, got {self.base_resolution}"
+                f"base_resolution must be an even number, got {self.base_resolution}"
             )
         if self.resolution < 4:
             raise MeshError(
@@ -122,26 +140,50 @@ class MeshConfig:
     def cells(self):
         return (self.cells_x, self.cells_y, self.cells_z)
 
+    @property
+    def n_regions(self) -> int:
+        """The bath plus one region per cell."""
+        return 1 + self.cells_x * self.cells_y * self.cells_z
+
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable tetrahedral mesh with per-tet substructure tags."""
+    """Immutable tetrahedral mesh with per-tet substructure tags and the
+    region of every substructure (by default, its own: region = id)."""
 
     config: MeshConfig
     vertices: np.ndarray  # (V, 3) float64, cm
     tets: np.ndarray      # (T, 4) int64
-    tet_sub: np.ndarray   # (T,) int64; 0 = extracellular, 1..N = cells
+    tet_sub: np.ndarray   # (T,) int64 substructure of each tet, ids 0..N-1
+    sub_region: np.ndarray = None  # (N,) int64 region of each substructure
 
     def __post_init__(self):
-        for arr in (self.vertices, self.tets, self.tet_sub):
-            arr.setflags(write=False)
         subs = np.unique(self.tet_sub)
-        if subs[0] != 0 or not np.array_equal(subs, np.arange(len(subs))):
-            raise MeshError(f"substructure ids must form a contiguous range 0..N, got {subs}")
+        if not np.array_equal(subs, np.arange(len(subs))):
+            raise MeshError(f"substructure ids must form a contiguous range 0..N-1, got {subs}")
+        region = np.arange(len(subs)) if self.sub_region is None else self.sub_region
+        region = np.array(region, dtype=np.int64)
+        object.__setattr__(self, "sub_region", region)
+        if len(region) != len(subs):
+            raise MeshError(
+                f"sub_region has {len(region)} entries, mesh has {len(subs)} substructures"
+            )
+        regions = np.unique(region)
+        if not np.array_equal(regions, np.arange(len(regions))):
+            raise MeshError(
+                f"region ids must form a contiguous range 0..R-1 starting at the "
+                f"bath ({BATH}), got {regions}"
+            )
+        for arr in (self.vertices, self.tets, self.tet_sub, self.sub_region):
+            arr.setflags(write=False)
 
     @property
     def n_substructures(self) -> int:
-        return int(self.tet_sub.max()) + 1
+        return len(self.sub_region)
+
+    @property
+    def n_regions(self) -> int:
+        return int(self.sub_region.max()) + 1
 
     @property
     def spacing(self) -> float:
@@ -171,11 +213,12 @@ def _tag_voxels(config: MeshConfig) -> np.ndarray:
     else:
         intra = hits == 3  # inset cube
     cell_id = 1 + (ii // n) + (jj // n) * cx + (kk // n) * cx * cy
-    return np.where(intra, cell_id, 0).ravel()
+    return np.where(intra, cell_id, BATH).ravel()
 
 
 def build_mesh(config: MeshConfig) -> Mesh:
-    """Voxelize the box, apply the Kuhn six-tet split, tag substructures."""
+    """Voxelize the box, apply the Kuhn six-tet split, tag substructures
+    (one per region: the bath is substructure 0, cell k is substructure k)."""
     n = config.resolution
     cx, cy, cz = config.cells
     gx, gy, gz = cx * n, cy * n, cz * n
@@ -192,7 +235,10 @@ def build_mesh(config: MeshConfig) -> Mesh:
     tets = corner_ids[:, _KUHN].reshape(-1, 4)                    # (6 Vox, 4)
 
     sub = np.repeat(_tag_voxels(config), 6)
-    return Mesh(config=config, vertices=vertices, tets=tets, tet_sub=sub)
+    return Mesh(
+        config=config, vertices=vertices, tets=tets, tet_sub=sub,
+        sub_region=np.arange(config.n_regions),
+    )
 
 
 @dataclass(frozen=True)
@@ -201,15 +247,24 @@ class FaceGroup:
 
     sub_i: int
     sub_j: int            # sub_i < sub_j
+    region_i: int         # region of sub_i
+    region_j: int         # region of sub_j
     triangles: np.ndarray  # (m, 3) vertex ids
     nodes: np.ndarray      # sorted unique vertex ids
     node_weights: np.ndarray  # lumped P1 surface-mass weights per node
     area: float
 
     @property
+    def kind(self) -> str:
+        """``"membrane"`` between the bath and a cell, ``"gap"`` between two
+        cells, ``"conforming"`` between two substructures of one region."""
+        if self.region_i == self.region_j:
+            return "conforming"
+        return "membrane" if BATH in (self.region_i, self.region_j) else "gap"
+
+    @property
     def is_membrane(self) -> bool:
-        """True for intra/extracellular contact, False for gap junctions."""
-        return self.sub_i == 0
+        return self.kind == "membrane"
 
 
 @dataclass(frozen=True)
@@ -327,7 +382,12 @@ def extract_interfaces(mesh: Mesh) -> InterfaceTopology:
         tris = np.ascontiguousarray(tri[g])
         nodes = np.unique(tris)
         weights, area = _face_lumped_weights(mesh.vertices, tris, nodes)
-        face_groups.append(FaceGroup(i, j, tris, nodes, weights, area))
+        face_groups.append(
+            FaceGroup(
+                i, j, int(mesh.sub_region[i]), int(mesh.sub_region[j]),
+                tris, nodes, weights, area,
+            )
+        )
         edges = np.sort(tris[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
         seg_sets[(i, j)] = np.unique(edges[:, 0] * nv + edges[:, 1])
 

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import math
+import numbers
 import time
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import (
     VerificationError,
 )
 from .femspace import PrimalVariant, build_composite_space, build_primal_constraints
-from .geometry import MeshConfig, build_mesh, extract_interfaces
+from .geometry import BATH, MeshConfig, _is_int, build_mesh, extract_interfaces
 from .krylov import pcg
 from .schur import condense
 from . import denseref
@@ -111,17 +112,21 @@ class ExperimentConfig:
                 f"unknown experiment '{self.experiment}'; "
                 f"expected one of {', '.join(_EXPERIMENTS)}"
             )
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
-        if self.maxiter < 1:
-            raise ConfigError(f"maxiter must be >= 1, got {self.maxiter}")
+        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
+        if not real or not self.tol > 0:
+            raise ConfigError(f"tol must be a real number > 0, got {self.tol!r}")
+        if not _is_int(self.maxiter) or self.maxiter < 1:
+            raise ConfigError(f"maxiter must be an integer >= 1, got {self.maxiter!r}")
         if self.stop not in ("rel", "abs"):
             raise ConfigError(f"stop must be 'rel' or 'abs', got {self.stop!r}")
-        integral = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
-        if not integral or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.sample_count < 1:
-            raise ConfigError("sample_count must be >= 1")
+        if not _is_int(self.sample_count) or self.sample_count < 1:
+            raise ConfigError(
+                f"sample_count must be an integer >= 1, got {self.sample_count!r}"
+            )
+        if not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
         if self.rhs not in ("random", "imex"):
             raise ConfigError(f"unknown rhs kind '{self.rhs}'")
         if not self.variants:
@@ -132,21 +137,30 @@ class ExperimentConfig:
             except ConstraintError as exc:
                 raise ConfigError(str(exc)) from None
         try:
-            self.study_meshes()
+            meshes = self.study_meshes()
         except (MeshError, TypeError, ValueError) as exc:
             raise ConfigError(f"{self.experiment} study: {exc}") from None
+        # random_sigma draws its own conductivities; elsewhere the override
+        # must give one value per region of every mesh of the study
+        sigma = self.params.sigma
+        if sigma is not None and self.experiment != "random_sigma":
+            for mesh in meshes:
+                if len(sigma) != mesh.n_regions:
+                    raise ConfigError(
+                        f"params.sigma has {len(sigma)} entries, but a "
+                        f"{'x'.join(map(str, mesh.cells))} mesh has "
+                        f"{mesh.n_regions} regions (the bath, then one per cell)"
+                    )
 
     def study_meshes(self) -> list:
         """The mesh of every operator the study builds, in row order."""
         if self.experiment == "weak_scaling":
             return [
-                dataclasses.replace(
-                    self.mesh, cells_x=int(nx), cells_y=int(ny), cells_z=int(nz)
-                )
+                dataclasses.replace(self.mesh, cells_x=nx, cells_y=ny, cells_z=nz)
                 for nx, ny, nz in self.grids
             ]
         if self.experiment == "refinement":
-            return [dataclasses.replace(self.mesh, refinement=int(lev)) for lev in self.levels]
+            return [dataclasses.replace(self.mesh, refinement=lev) for lev in self.levels]
         return [self.mesh]
 
     @classmethod
@@ -170,6 +184,12 @@ class ExperimentConfig:
             if key in data:
                 seq = data[key]
                 if key == "grids":
+                    if not isinstance(seq, (list, tuple)) or not all(
+                        isinstance(g, (list, tuple)) for g in seq
+                    ):
+                        raise ConfigError(
+                            f"grids must be a list of [nx, ny, nz] triples, got {seq!r}"
+                        )
                     seq = tuple(tuple(g) for g in seq)
                 elif isinstance(seq, (list, tuple)):
                     seq = tuple(seq)
@@ -230,10 +250,10 @@ class Problem:
         return g / np.linalg.norm(g)
 
     def sigma_summary(self) -> str:
-        sig = self.operators.sigma
-        intra = sig[1:]
+        sig = self.operators.sigma  # per region
+        intra = np.delete(sig, BATH)
         return (
-            f"extra={sig[0]:.6g}"
+            f"extra={sig[BATH]:.6g}"
             f"|intra_min={intra.min():.6g}"
             f"|intra_max={intra.max():.6g}"
         )
@@ -325,16 +345,16 @@ def _solve_row(problem, precond, f, config, variant) -> ResultRow:
 def _operators(config: ExperimentConfig):
     """Yield ``(problem, loads)`` for each operator of the study, in row order.
 
-    ``random_sigma`` draws every cell's conductivity from (1, 20) mS/cm (the
-    extracellular bath keeps the configured value) and one load per operator
-    from a single random stream.  The other studies reseed per operator;
-    ``random_rhs`` draws ``sample_count`` loads, the rest draw one.
+    ``random_sigma`` draws every cell region's conductivity from (1, 20)
+    mS/cm (the bath region keeps the configured value) and one load per
+    operator from a single random stream.  The other studies reseed per
+    operator; ``random_rhs`` draws ``sample_count`` loads, the rest draw one.
     """
     if config.experiment == "random_sigma":
         rng = np.random.default_rng(config.seed)
-        n_cells = math.prod(config.mesh.cells)
+        n_cells = config.mesh.n_regions - 1
         for _ in range(config.sample_count):
-            draw = (config.params.sigma_extra,) + tuple(rng.uniform(1.0, 20.0, n_cells))
+            draw = np.insert(rng.uniform(1.0, 20.0, n_cells), BATH, config.params.sigma_extra)
             params = dataclasses.replace(config.params, sigma=draw)
             problem = build_problem(config.mesh, params)
             yield problem, [random_rhs(problem, rng)]

@@ -17,7 +17,7 @@ from emibddc.assembly import (
 )
 from emibddc.errors import AssemblyError
 from emibddc.femspace import build_composite_space
-from emibddc.geometry import MeshConfig, build_mesh, extract_interfaces
+from emibddc.geometry import BATH, MeshConfig, build_mesh, extract_interfaces
 
 
 UNIT_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -118,13 +118,16 @@ def test_params_validation():
 
 
 def test_oriented_pair_membrane_and_gap(problem_2cell):
+    """Membranes lead with the cell region against the bath region, gap
+    junctions with the lower cell region."""
     topo = problem_2cell.topo
     for fg in topo.faces:
         lead, other = oriented_pair(fg)
+        assert {lead, other} == {fg.region_i, fg.region_j}
         if fg.is_membrane:
-            assert other == 0 and lead != 0
+            assert other == BATH and lead != BATH
         else:
-            assert lead < other
+            assert BATH not in (lead, other) and lead < other
 
 
 def test_system_matrix_structure(problem_2cell):

@@ -15,29 +15,34 @@ def two_cell_space():
 
 
 def _node_of(dm, sub, pos):
-    """Geometric node of a local dof (global ids number the own nodes in turn)."""
-    return np.concatenate(dm.own_nodes)[dm.local_to_global[sub][np.asarray(pos)]]
+    """Geometric node of a local dof (global ids number the region nodes in turn)."""
+    return np.concatenate(dm.region_nodes)[dm.local_to_global[sub][np.asarray(pos)]]
+
+
+def _global_id(dm, region, node):
+    return dm.region_offset[region] + np.searchsorted(dm.region_nodes[region], node)
 
 
 def _broken_reference(dm, topo):
-    """(holder, side, node) of every broken interface dof, listed per holder:
-    its own interface nodes, then its copies of each neighbour's side; and
-    the assembled interface dofs (the own entries' global ids) in order."""
+    """(holder, side region, node) of every broken interface dof, listed per
+    holder: its own interface nodes, then its copies of each other region it
+    shares a face with; and the assembled interface dofs (the own entries'
+    global ids) in order."""
     holder, side, node = [], [], []
     for i in range(dm.n_substructures):
         own = dm.own_nodes[i][topo.multiplicity[dm.own_nodes[i]] >= 2]
-        blocks = [(i, own)] + [(j, dm.copy_nodes[(i, j)]) for j in topo.neighbors(i)]
-        for s, nodes in blocks:
+        r_i = dm.sub_region[i]
+        others = sorted({int(dm.sub_region[j]) for j in topo.neighbors(i)} - {r_i})
+        blocks = [(r_i, own)] + [(r, dm.copy_nodes[(i, r)]) for r in others]
+        for r, nodes in blocks:
             holder.append(np.full(len(nodes), i, np.int64))
-            side.append(np.full(len(nodes), s, np.int64))
+            side.append(np.full(len(nodes), r, np.int64))
             node.append(nodes)
     holder, side, node = (np.concatenate(a) for a in (holder, side, node))
-    is_own = side == holder
-    gamma_global = np.array(
-        [dm.own_offset[s] + np.searchsorted(dm.own_nodes[s], x)
-         for s, x in zip(side[is_own], node[is_own])],
-        dtype=np.int64,
-    )
+    is_own = side == dm.sub_region[holder]
+    gamma_global = np.unique(
+        [_global_id(dm, r, x) for r, x in zip(side[is_own], node[is_own])]
+    ).astype(np.int64)
     return holder, side, node, gamma_global
 
 
@@ -93,10 +98,19 @@ def test_broken_bookkeeping_consistency(two_cell_space):
     assert dm.n_broken == len(holder)
     # every broken entry points at a valid compact-gamma slot
     assert dm.bro_gamma.min() >= 0 and dm.bro_gamma.max() < dm.n_gamma
-    # each group holds exactly one own entry
+    # each group holds exactly one own entry (one substructure per region)
     own_per_group = np.zeros(dm.n_gamma, dtype=int)
-    np.add.at(own_per_group, dm.bro_gamma[side == holder], 1)
+    np.add.at(own_per_group, dm.bro_gamma[side == dm.sub_region[holder]], 1)
     npt.assert_array_equal(own_per_group, np.ones(dm.n_gamma, dtype=int))
+
+
+def _hosted_counts(cs, sub):
+    """(face rows, edge rows, vertex points) that one substructure hosts."""
+    hosted = [cs.classes[ci] for ci, _ in cs.rows_of(sub)]
+    face = sum(cl.kind == "face" for cl in hosted)
+    edge = sum(cl.kind == "edge" for cl in hosted)
+    points = {cl.entity for cl in hosted if cl.kind == "vertex"}
+    return face, edge, len(points)
 
 
 def test_patch_hosted_constraint_counts(patch_mesh, patch_topo):
@@ -106,13 +120,18 @@ def test_patch_hosted_constraint_counts(patch_mesh, patch_topo):
     dm = build_composite_space(patch_mesh, patch_topo)
     cs = build_primal_constraints(dm, patch_topo, "vef")
     for s in range(4):
-        c = cs.counts(s)
-        assert (c.face_rows, c.edge_rows, c.vertex_points) == (6, 9, 4)
+        assert _hosted_counts(cs, s) == (6, 9, 4)
+        # every vertex point contributes one one-dof row per side present
+        # there: the centroid is shared by all four substructures, the
+        # corners by three
+        vertex_rows = [row for ci, row in cs.rows_of(s) if cs.classes[ci].kind == "vertex"]
+        assert len(vertex_rows) == 4 + 3 * 3
+        assert all(len(row.local_dofs) == 1 and row.weights[0] == 1.0 for row in vertex_rows)
+        assert len(cs.rows_of(s)) == 6 + 9 + len(vertex_rows)
     assert cs.coarse_dim == 40
     cs_ve = build_primal_constraints(dm, patch_topo, "ve")
     for s in range(4):
-        c = cs_ve.counts(s)
-        assert (c.face_rows, c.edge_rows, c.vertex_points) == (0, 9, 4)
+        assert _hosted_counts(cs_ve, s) == (0, 9, 4)
     assert cs_ve.coarse_dim == 28
 
 
@@ -196,25 +215,10 @@ def test_unknown_variant_rejected(two_cell_space):
         build_primal_constraints(dm, topo, "vefx")
 
 
-def test_rows_of_matches_counts(patch_mesh, patch_topo):
-    dm = build_composite_space(patch_mesh, patch_topo)
-    cs = build_primal_constraints(dm, patch_topo, "vef")
-    for s in range(4):
-        c = cs.counts(s)
-        # every vertex point contributes one one-dof row per side present
-        # there: the centroid is shared by all four substructures, the
-        # corners by three
-        vertex_rows = [row for ci, row in cs.rows_of(s) if cs.classes[ci].kind == "vertex"]
-        assert len(vertex_rows) == 4 + 3 * 3
-        assert all(len(row.local_dofs) == 1 and row.weights[0] == 1.0 for row in vertex_rows)
-        assert len(cs.rows_of(s)) == c.face_rows + c.edge_rows + len(vertex_rows)
-        assert c.vertex_points == 4
-
-
 @pytest.mark.parametrize("which", ["patch", "convex_2x2x1"])
 def test_bro_gamma_matches_per_dof_lookup(which, patch_mesh, patch_topo):
     """The grouped lookup gives every broken dof the assembled dof that a
-    per-dof search of its side's sorted nodes gives."""
+    per-dof search of its side region's sorted nodes gives."""
     if which == "patch":
         mesh, topo = patch_mesh, patch_topo
     else:
@@ -228,10 +232,7 @@ def test_bro_gamma_matches_per_dof_lookup(which, patch_mesh, patch_topo):
     full_to_gamma = np.full(dm.n_global, -1, dtype=np.int64)
     full_to_gamma[gamma_global] = np.arange(len(gamma_global))
     reference = np.array(
-        [
-            full_to_gamma[dm.own_offset[s] + np.searchsorted(dm.own_nodes[s], x)]
-            for s, x in zip(bro_side, bro_node)
-        ],
+        [full_to_gamma[_global_id(dm, r, x)] for r, x in zip(bro_side, bro_node)],
         dtype=np.int64,
     )
     assert len(reference) == dm.n_broken > 0

@@ -6,6 +6,7 @@ import pytest
 
 from emibddc.errors import MeshError, TopologyError
 from emibddc.geometry import (
+    BATH,
     Mesh,
     MeshConfig,
     build_mesh,
@@ -71,8 +72,13 @@ def test_face_groups_partition_interface():
         assert fg.sub_i < fg.sub_j
         assert fg.area > 0
         npt.assert_allclose(fg.node_weights.sum(), fg.area, rtol=1e-12)
-        # membrane faces touch the bath, gap junctions do not
-        assert fg.is_membrane == (fg.sub_i == 0)
+        # membrane faces join the bath region to a cell region, gap
+        # junctions join two cell regions; this mesh has no conforming face
+        regions = {fg.region_i, fg.region_j}
+        assert (fg.region_i, fg.region_j) == tuple(mesh.sub_region[[fg.sub_i, fg.sub_j]])
+        assert len(regions) == 2
+        assert fg.is_membrane == (BATH in regions)
+        assert fg.kind == ("membrane" if BATH in regions else "gap")
     membranes = [fg for fg in topo.faces if fg.is_membrane]
     gaps = [fg for fg in topo.faces if not fg.is_membrane]
     assert len(membranes) == 2 and len(gaps) == 1
@@ -137,6 +143,20 @@ def test_noncontiguous_substructure_ids_rejected():
     tets = np.array([[0, 1, 2, 3]])
     with pytest.raises(MeshError):
         Mesh(MeshConfig(), verts, tets, np.array([1]))
+    # region table: one entry per substructure, ids 0..R-1 with the bath (0)
+    verts = np.vstack([verts, [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]])
+    tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4], [0, 1, 2, 5]])
+    sub = np.array([0, 1, 2])
+    npt.assert_array_equal(Mesh(MeshConfig(), verts, tets, sub).sub_region, [0, 1, 2])
+    assert Mesh(MeshConfig(), verts, tets, sub, np.array([0, 1, 0])).n_regions == 2
+    for sub_region, message in (
+        ([0, 1], "3 substructures"),
+        ([0, 1, 2, 3], "3 substructures"),
+        ([1, 1, 2], "contiguous"),
+        ([0, 2, 2], "contiguous"),
+    ):
+        with pytest.raises(MeshError, match=message):
+            Mesh(MeshConfig(), verts, tets, sub, np.array(sub_region))
 
 
 def test_nonmanifold_mesh_rejected():

@@ -52,6 +52,7 @@ def test_from_dict_rejects_unknown_keys():
 def test_from_dict_converts_containers():
     cfg = ExperimentConfig.from_dict(
         {
+            "mesh": {"cells_x": 2},  # three regions, one sigma each
             "variants": ["ve"],
             "grids": [[2, 2, 1], [2, 2, 2]],
             "params": {"sigma": [20, 3, 3]},
@@ -264,11 +265,23 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
         ),
         (["experiment", "weak-scaling", "--set", "grids=[[2,1]]"], "weak_scaling study"),
         (["experiment", "refinement", "--set", "levels=[-1]"], "refinement must be"),
+        (["solve", "--set", "mesh.cells_x=2", "--set", "params.sigma=[1,2]"], "3 regions"),
+        (["solve", "--set", "params.sigma=abc"], "sigma must be"),
+        (["solve", "--set", "tol=abc"], "tol must be"),
+        (["solve", "--set", "maxiter=abc"], "maxiter must be"),
+        (["solve", "--set", "maxiter=2.5"], "maxiter must be"),
+        (["solve", "--set", "sample_count=abc"], "sample_count must be"),
+        (["solve", "--set", "grids=3"], "grids must be"),
+        (["solve", "--set", "out=5"], "out must be"),
+        (["solve", "--set", "mesh.cells_x=2.5"], "cells_x must be an integer"),
+        (["solve", "--set", "mesh.cells_x=true"], "cells_x must be an integer"),
+        (["solve", "--set", "mesh.base_resolution=4.0"], "base_resolution must be an integer"),
+        (["solve", "--set", "mesh.refinement=0.5"], "refinement must be an integer"),
     ],
 )
 def test_cli_bad_config_exits_two(argv, message, capsys):
-    """Bad stopping modes, seeds, meshes and model parameters are
-    configuration errors, caught before any study runs."""
+    """Bad stopping modes, seeds, meshes, model parameters and mistyped
+    values are configuration errors, caught before any study runs."""
     rc = cli.main(argv)
     err = capsys.readouterr().err
     assert rc == 2
