@@ -121,13 +121,6 @@ def test_patch_hosted_constraint_counts(patch_mesh, patch_topo):
     cs = build_primal_constraints(dm, patch_topo, "vef")
     for s in range(4):
         assert _hosted_counts(cs, s) == (6, 9, 4)
-        # every vertex point contributes one one-dof row per side present
-        # there: the centroid is shared by all four substructures, the
-        # corners by three
-        vertex_rows = [row for ci, row in cs.rows_of(s) if cs.classes[ci].kind == "vertex"]
-        assert len(vertex_rows) == 4 + 3 * 3
-        assert all(len(row.local_dofs) == 1 and row.weights[0] == 1.0 for row in vertex_rows)
-        assert len(cs.rows_of(s)) == 6 + 9 + len(vertex_rows)
     assert cs.coarse_dim == 40
     cs_ve = build_primal_constraints(dm, patch_topo, "ve")
     for s in range(4):
@@ -213,6 +206,21 @@ def test_unknown_variant_rejected(two_cell_space):
     mesh, topo, dm = two_cell_space
     with pytest.raises((ConstraintError, ValueError)):
         build_primal_constraints(dm, topo, "vefx")
+
+
+def test_rows_of_matches_counts(patch_mesh, patch_topo):
+    dm = build_composite_space(patch_mesh, patch_topo)
+    cs = build_primal_constraints(dm, patch_topo, "vef")
+    for s in range(4):
+        face_rows, edge_rows, vertex_points = _hosted_counts(cs, s)
+        # every vertex point contributes one one-dof row per side present
+        # there: the centroid is shared by all four substructures, the
+        # corners by three
+        vertex_rows = [row for ci, row in cs.rows_of(s) if cs.classes[ci].kind == "vertex"]
+        assert len(vertex_rows) == 4 + 3 * 3
+        assert all(len(row.local_dofs) == 1 and row.weights[0] == 1.0 for row in vertex_rows)
+        assert len(cs.rows_of(s)) == face_rows + edge_rows + len(vertex_rows)
+        assert vertex_points == 4
 
 
 @pytest.mark.parametrize("which", ["patch", "convex_2x2x1"])
