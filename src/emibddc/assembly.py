@@ -24,7 +24,7 @@ that the subassembled sum over substructures reproduces the global operator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from ._kernels import tet_stiffness_batch, tri_mass_batch
 from .errors import AssemblyError
 from .femspace import DofMap
-from .geometry import BATH, FaceGroup, InterfaceTopology, Mesh
+from .geometry import BATH, FaceGroup, InterfaceTopology, Mesh, _is_positive_real
 from .sparsela import SPDSolver
 
 __all__ = [
@@ -63,18 +63,16 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("sigma_intra", "sigma_extra", "c_m", "tau", "r_gap"):
-            if not getattr(self, name) > 0:
-                raise AssemblyError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not _is_positive_real(value):
+                raise AssemblyError(f"{name} must be a finite number > 0, got {value!r}")
         if self.sigma is not None:
-            try:
-                sigma = tuple(float(s) for s in self.sigma)
-            except (TypeError, ValueError):
+            sigma = tuple(self.sigma) if np.iterable(self.sigma) else None
+            if sigma is None or not all(_is_positive_real(s) for s in sigma):
                 raise AssemblyError(
-                    f"sigma must be a sequence of conductivities, got {self.sigma!r}"
-                ) from None
-            object.__setattr__(self, "sigma", sigma)
-            if any(s <= 0 for s in self.sigma):
-                raise AssemblyError("all conductivities must be positive")
+                    f"sigma must be a sequence of finite conductivities > 0, got {self.sigma!r}"
+                )
+            object.__setattr__(self, "sigma", tuple(float(s) for s in sigma))
 
     def conductivities(self, n_regions: int) -> np.ndarray:
         """Per-region conductivity: ``sigma_extra`` in the bath (region
@@ -142,7 +140,6 @@ class SystemOperators:
     matrix: sp.csr_matrix     # K = tau*A + M
     local_ops: tuple
     sigma: np.ndarray         # per region
-    params: ModelParams
 
 
 def oriented_pair(fg: FaceGroup):
@@ -157,114 +154,81 @@ def oriented_pair(fg: FaceGroup):
     return min(fg.region_i, fg.region_j), max(fg.region_i, fg.region_j)
 
 
-def _coo_blocks(rows3, cols3, blocks):
-    """Flatten (T, k, k) element blocks against (T, k) row/col index arrays."""
-    t, k = rows3.shape
-    r = np.repeat(rows3, k, axis=1).ravel()
-    c = np.tile(cols3, (1, k)).ravel()
-    return r, c, blocks.ravel()
-
-
 def assemble_system(
     mesh: Mesh,
     topo: InterfaceTopology,
     dofmap: DofMap,
     params: ModelParams,
 ) -> SystemOperators:
-    """Assemble the global step operator and the broken local operators."""
-    nsub = mesh.n_substructures
+    """Assemble the global step operator and the broken local operators.
+
+    Every element block goes through one scatter into its targets: the
+    global ``stiffness`` and ``coupling`` by global id, and substructure
+    ``i``'s local operator by local id.
+    """
     region = mesh.sub_region
     sigma = params.conductivities(mesh.n_regions)
-    ngd = dofmap.n_global
+    entries = {}
 
-    glob_rows, glob_cols, glob_vals = [], [], []
-    loc_entries = [([], [], []) for _ in range(nsub)]
+    def add(target, rows, cols, blocks):
+        """Scatter (T, k, k) element blocks at (T, k) row/col ids into target."""
+        k = rows.shape[1]
+        entries.setdefault(target, []).append(
+            (np.repeat(rows, k, axis=1).ravel(), np.tile(cols, (1, k)).ravel(), blocks.ravel())
+        )
+
+    def assembled(target, n):
+        """The summed matrix of target; its entries are released."""
+        if target not in entries:
+            return sp.csr_matrix((n, n))
+        rows, cols, vals = (np.concatenate(a) for a in zip(*entries.pop(target)))
+        mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+        del rows, cols, vals  # drop the 64-bit inputs before tocsr, the memory peak
+        mat = mat.tocsr()
+        mat.sum_duplicates()
+        return mat
 
     # conduction stiffness, one decoupled block per region
-    stiff_rows, stiff_cols, stiff_vals = [], [], []
-    for i in range(nsub):
+    for i in range(mesh.n_substructures):
         tets = mesh.tets[mesh.tet_sub == i]
         ke, _ = tet_stiffness_batch(
             mesh.vertices[tets], np.full(len(tets), sigma[region[i]])
         )
-        gids = dofmap.global_own(region[i], tets.ravel()).reshape(tets.shape)
-        r, c, v = _coo_blocks(gids, gids, ke)
-        stiff_rows.append(r)
-        stiff_cols.append(c)
-        stiff_vals.append(v)
-        lids = dofmap.own_positions(i, tets.ravel()).reshape(tets.shape)
-        r, c, v = _coo_blocks(lids, lids, params.tau * ke)
-        lr, lc, lv = loc_entries[i]
-        lr.append(r)
-        lc.append(c)
-        lv.append(v)
+        gids = dofmap.global_ids(region[i], tets)
+        add("stiffness", gids, gids, ke)
+        lids = dofmap.local_ids(i, region[i], tets)
+        add(i, lids, lids, params.tau * ke)
+    stiffness = assembled("stiffness", dofmap.n_global)
 
-    stiffness = sp.coo_matrix(
-        (np.concatenate(stiff_vals), (np.concatenate(stiff_rows), np.concatenate(stiff_cols))),
-        shape=(ngd, ngd),
-    ).tocsr()
-    stiffness.sum_duplicates()
-
-    # interface jump coupling: c_m * [[Mf, -Mf], [-Mf, Mf]] per patch
+    # interface jump coupling: c_m * [[Mf, -Mf], [-Mf, Mf]] per patch, whole
+    # into the global M and half into each touching substructure's broken
+    # operator; each target takes its own region's block first, an order
+    # that fixes how the duplicates sum
     for fg in topo.faces:
         if fg.kind == "conforming":
             continue  # one region on both sides: no jump to penalise
         mf, _ = tri_mass_batch(mesh.vertices[fg.triangles])
         mf = params.c_m * mf
-        gi = dofmap.global_own(fg.region_i, fg.triangles.ravel()).reshape(fg.triangles.shape)
-        gj = dofmap.global_own(fg.region_j, fg.triangles.ravel()).reshape(fg.triangles.shape)
-        for rows3, cols3, s in ((gi, gi, 1.0), (gi, gj, -1.0), (gj, gi, -1.0), (gj, gj, 1.0)):
-            r, c, v = _coo_blocks(rows3, cols3, s * mf)
-            glob_rows.append(r)
-            glob_cols.append(c)
-            glob_vals.append(v)
+        for target, ids, scale, pair in (
+            ("coupling", dofmap.global_ids, 1.0, (fg.region_i, fg.region_j)),
+            (fg.sub_i, partial(dofmap.local_ids, fg.sub_i), 0.5, (fg.region_i, fg.region_j)),
+            (fg.sub_j, partial(dofmap.local_ids, fg.sub_j), 0.5, (fg.region_j, fg.region_i)),
+        ):
+            a, b = (ids(r, fg.triangles) for r in pair)
+            for rows, cols, s in ((a, a, scale), (a, b, -scale), (b, a, -scale), (b, b, scale)):
+                add(target, rows, cols, s * mf)
 
-        # half of the block into each touching substructure's broken operator
-        li_own = dofmap.own_positions(fg.sub_i, fg.triangles.ravel()).reshape(fg.triangles.shape)
-        li_cp = dofmap.copy_positions(fg.sub_i, fg.region_j, fg.triangles.ravel()).reshape(
-            fg.triangles.shape
-        )
-        lj_own = dofmap.own_positions(fg.sub_j, fg.triangles.ravel()).reshape(fg.triangles.shape)
-        lj_cp = dofmap.copy_positions(fg.sub_j, fg.region_i, fg.triangles.ravel()).reshape(
-            fg.triangles.shape
-        )
-        for sub, a, b in ((fg.sub_i, li_own, li_cp), (fg.sub_j, lj_own, lj_cp)):
-            lr, lc, lv = loc_entries[sub]
-            for rows3, cols3, s in ((a, a, 0.5), (a, b, -0.5), (b, a, -0.5), (b, b, 0.5)):
-                r, c, v = _coo_blocks(rows3, cols3, s * mf)
-                lr.append(r)
-                lc.append(c)
-                lv.append(v)
-
-    if glob_vals:
-        coupling = sp.coo_matrix(
-            (np.concatenate(glob_vals), (np.concatenate(glob_rows), np.concatenate(glob_cols))),
-            shape=(ngd, ngd),
-        ).tocsr()
-        coupling.sum_duplicates()
-    else:
-        coupling = sp.csr_matrix((ngd, ngd))
-
-    local_ops = []
-    for i in range(nsub):
-        lr, lc, lv = loc_entries[i]
-        n = int(dofmap.n_local[i])
-        mat = sp.coo_matrix(
-            (np.concatenate(lv), (np.concatenate(lr), np.concatenate(lc))), shape=(n, n)
-        ).tocsr()
-        mat.sum_duplicates()
-        local_ops.append(
-            LocalOperator(sub=i, matrix=mat, n_interior=int(dofmap.n_interior[i]))
-        )
-
-    matrix = (params.tau * stiffness + coupling).tocsr()
+    coupling = assembled("coupling", dofmap.n_global)
+    local_ops = tuple(
+        LocalOperator(i, assembled(i, int(dofmap.n_local[i])), int(dofmap.n_interior[i]))
+        for i in range(mesh.n_substructures)
+    )
     return SystemOperators(
         stiffness=stiffness,
         coupling=coupling,
-        matrix=matrix,
-        local_ops=tuple(local_ops),
+        matrix=(params.tau * stiffness + coupling).tocsr(),
+        local_ops=local_ops,
         sigma=sigma,
-        params=params,
     )
 
 
@@ -288,7 +252,7 @@ class MembraneState:
 def compute_jump(dofmap: DofMap, fg: FaceGroup, u: np.ndarray) -> np.ndarray:
     """Oriented potential jump at the patch nodes: leading region minus other."""
     lead, other = oriented_pair(fg)
-    return u[dofmap.global_own(lead, fg.nodes)] - u[dofmap.global_own(other, fg.nodes)]
+    return u[dofmap.global_ids(lead, fg.nodes)] - u[dofmap.global_ids(other, fg.nodes)]
 
 
 def assemble_rhs(
@@ -330,8 +294,8 @@ def assemble_rhs(
         contrib = np.einsum("tab,tb->ta", mf, nodal[local])
         np.add.at(vals, local.ravel(), contrib.ravel())
 
-        f[dofmap.global_own(lead, fg.nodes)] += vals
-        f[dofmap.global_own(other, fg.nodes)] -= vals
+        f[dofmap.global_ids(lead, fg.nodes)] += vals
+        f[dofmap.global_ids(other, fg.nodes)] -= vals
     return f
 
 

@@ -9,7 +9,9 @@ conforming interface dof.  For the preconditioner each substructure
 additionally holds local *trace copies* of the other regions' interface
 values on the faces it shares with them; the copies alias those regions'
 global unknowns in the assembled problem and become independent local
-degrees of freedom in the broken substructure spaces.
+degrees of freedom in the broken substructure spaces.  Every value, own or
+copied, global or local, is thus one pair (region, node), and one key
+``region * n_nodes + node`` finds it in both numberings (:class:`DofMap`).
 
 The primal space is described by equivalence classes of constraint rows,
 one row per substructure holding a copy of the averaged values:
@@ -65,39 +67,46 @@ class PrimalVariant(str, Enum):
 class DofMap:
     """Numbering of global (assembled) and local (broken) degrees of freedom.
 
-    Global unknowns are the nodal values of every region, numbered region by
-    region in node order; a mesh node shared by m regions carries m distinct
-    global unknowns (one per side).  Each substructure owns the unknowns of
-    its region on its closure.  Trace copies exist only locally and map onto
-    the copied region's global index.
+    Every value of the problem is one region's P1 value at one mesh node,
+    keyed ``region * n_nodes + node``.  The global unknowns are the values
+    on each region's closure; ``global_keys`` lists their keys sorted, and
+    a key's rank is its global id (region by region, in node order).  A
+    mesh node shared by m regions carries m distinct global unknowns (one
+    per side).  A substructure holds, under the same keys, its own region's
+    values on its closure and trace copies of the other regions' values on
+    the faces it shares with them; ``local_keys`` lists them sorted and
+    ``local_pos`` gives each one's local position.  Copies exist only
+    locally and alias the copied region's global unknown.
 
     Local ordering per substructure: interior own dofs, interface own dofs,
-    then trace copies grouped by (ascending) copied region.  The stacked
-    *broken interface* used by the preconditioner is built from these
-    numberings alone: it is the concatenation of all local interface blocks
-    (``bro_ptr`` slices it by holder), and ``bro_gamma`` maps each of its
-    entries through ``local_to_global`` to the assembled unknown it copies.
-    ``gamma_global`` lists the assembled interface unknowns in their compact
-    solver order.  All copies of one side's value at one node share their
-    ``bro_gamma`` entry, so that entry is the broken dof's copy group.
+    then trace copies in key order (by copied region, then node).  The
+    stacked *broken interface* used by the preconditioner is built from
+    these numberings alone: it is the concatenation of all local interface
+    blocks (``bro_ptr`` slices it by holder), and ``bro_gamma`` maps each of
+    its entries through ``local_to_global`` to the assembled unknown it
+    copies.  ``gamma_global`` lists the assembled interface unknowns in
+    their compact solver order.  All copies of one side's value at one node
+    share their ``bro_gamma`` entry, so that entry is the broken dof's copy
+    group.
     """
 
     n_substructures: int
-    n_global: int
+    n_nodes: int             # mesh nodes; the key stride of one region
     sub_region: np.ndarray   # (N,) region of each substructure
-    region_nodes: list       # per region: sorted node ids of its closure
-    region_offset: np.ndarray  # (R+1,) prefix sums of len(region_nodes)
-    own_nodes: list          # per sub: sorted node ids of its closure
+    global_keys: np.ndarray  # sorted keys of the global unknowns
+    local_keys: list         # per sub: sorted keys of its local dofs
+    local_pos: list          # per sub: local position of each sorted key
     n_interior: np.ndarray   # per sub
     n_local: np.ndarray      # per sub, own + copies
-    own_local_pos: list      # per sub: local position of k-th sorted own node
-    copy_start: dict         # (i, r) -> local position of i's copies of region r
-    copy_nodes: dict         # (i, r) -> node ids (sorted) of that copy block
     local_to_global: list    # per sub: (n_local,) global ids (copies alias owner)
     gamma_global: np.ndarray  # assembled interface dofs in compact order
     bro_ptr: np.ndarray      # (N+1,) slices of the stacked broken interface
     bro_holder: np.ndarray   # substructure holding each broken interface dof
     bro_gamma: np.ndarray    # assembled dof backing each broken interface dof
+
+    @property
+    def n_global(self) -> int:
+        return len(self.global_keys)
 
     @property
     def n_gamma(self) -> int:
@@ -107,26 +116,24 @@ class DofMap:
     def n_broken(self) -> int:
         return len(self.bro_holder)
 
-    def own_positions(self, sub: int, nodes) -> np.ndarray:
-        """Local positions of the given own nodes of ``sub``."""
-        return self.own_local_pos[sub][np.searchsorted(self.own_nodes[sub], nodes)]
+    def _keys(self, region: int, nodes) -> np.ndarray:
+        return region * self.n_nodes + np.asarray(nodes)
 
-    def copy_positions(self, sub: int, region: int, nodes) -> np.ndarray:
-        """Local positions of ``sub``'s trace copies of ``region`` at ``nodes``."""
-        block = self.copy_nodes[(sub, region)]
-        return self.copy_start[(sub, region)] + np.searchsorted(block, nodes)
+    def global_ids(self, region: int, nodes) -> np.ndarray:
+        """Global ids of ``region``'s unknowns at ``nodes`` (shape kept)."""
+        return np.searchsorted(self.global_keys, self._keys(region, nodes))
 
-    def holds_copies(self, sub: int, region: int, nodes) -> bool:
-        """Whether ``sub`` holds trace copies of ``region`` at all ``nodes``."""
-        block = self.copy_nodes.get((sub, region))
-        if block is None:
-            return False
-        pos = np.minimum(np.searchsorted(block, nodes), len(block) - 1)
-        return bool(np.all(block[pos] == nodes))
+    def local_ids(self, sub: int, region: int, nodes) -> np.ndarray:
+        """Local positions of ``sub``'s values of ``region`` at ``nodes``
+        (own values or trace copies alike; shape kept)."""
+        keys = self._keys(region, nodes)
+        return self.local_pos[sub][np.searchsorted(self.local_keys[sub], keys)]
 
-    def global_own(self, region: int, nodes) -> np.ndarray:
-        """Global ids of ``region``'s unknowns at ``nodes``."""
-        return self.region_offset[region] + np.searchsorted(self.region_nodes[region], nodes)
+    def holds(self, sub: int, region: int, nodes) -> bool:
+        """Whether ``sub`` holds values of ``region`` at all ``nodes``."""
+        held, keys = self.local_keys[sub], self._keys(region, nodes)
+        pos = np.minimum(np.searchsorted(held, keys), len(held) - 1)
+        return bool(np.all(held[pos] == keys))
 
     def gamma_slice(self, sub: int) -> slice:
         return slice(self.bro_ptr[sub], self.bro_ptr[sub + 1])
@@ -136,79 +143,54 @@ def build_composite_space(mesh: Mesh, topo: InterfaceTopology) -> DofMap:
     """Construct the dof numbering for a substructured mesh."""
     nsub = mesh.n_substructures
     region = mesh.sub_region
+    n_nodes = len(mesh.vertices)
     mult = topo.multiplicity
-
-    own_nodes, n_interior, own_local_pos = [], [], []
-    for i in range(nsub):
-        nodes = np.unique(mesh.tets[mesh.tet_sub == i])
-        own_nodes.append(nodes)
-        on_iface = mult[nodes] >= 2
-        n_interior.append(int((~on_iface).sum()))
-        # order: interior nodes, then interface nodes (node order inside each)
-        pos = np.empty(len(nodes), dtype=np.int64)
-        pos[~on_iface] = np.arange(n_interior[-1])
-        pos[on_iface] = n_interior[-1] + np.arange(int(on_iface.sum()))
-        own_local_pos.append(pos)
-
-    region_nodes = [
-        np.unique(np.concatenate([own_nodes[i] for i in np.flatnonzero(region == r)]))
-        for r in range(mesh.n_regions)
-    ]
-    region_offset = np.zeros(mesh.n_regions + 1, dtype=np.int64)
-    region_offset[1:] = np.cumsum([len(n) for n in region_nodes])
 
     # trace copies: a substructure copies another region's values at the
     # nodes of the faces it shares with that region; a conforming face
     # (one region on both sides) shares its unknowns and needs none
-    copy_faces = {}
+    copies = [[np.empty(0, dtype=np.int64)] for _ in range(nsub)]
     for fg in topo.faces:
         if fg.kind != "conforming":
-            copy_faces.setdefault((fg.sub_i, fg.region_j), []).append(fg.nodes)
-            copy_faces.setdefault((fg.sub_j, fg.region_i), []).append(fg.nodes)
-    copy_start, copy_nodes = {}, {}
-    n_local = np.array([len(n) for n in own_nodes], dtype=np.int64)
-    for key in sorted(copy_faces):
-        copy_start[key] = int(n_local[key[0]])
-        copy_nodes[key] = np.unique(np.concatenate(copy_faces[key]))
-        n_local[key[0]] += len(copy_nodes[key])
+            copies[fg.sub_i].append(fg.region_j * n_nodes + fg.nodes)
+            copies[fg.sub_j].append(fg.region_i * n_nodes + fg.nodes)
 
-    def global_ids(r, nodes):
-        return region_offset[r] + np.searchsorted(region_nodes[r], nodes)
-
-    local_to_global = []
+    # keys in local order: interior own nodes, interface own nodes (node
+    # order inside each), then the copies in key order
+    own, keys, n_interior = [], [], []
     for i in range(nsub):
-        l2g = np.empty(n_local[i], dtype=np.int64)
-        l2g[own_local_pos[i]] = global_ids(region[i], own_nodes[i])
-        local_to_global.append(l2g)
-    for (i, r), nodes in copy_nodes.items():
-        start = copy_start[(i, r)]
-        local_to_global[i][start:start + len(nodes)] = global_ids(r, nodes)
+        nodes = np.unique(mesh.tets[mesh.tet_sub == i])
+        on_iface = mult[nodes] >= 2
+        n_interior.append(int((~on_iface).sum()))
+        own.append(region[i] * n_nodes + np.concatenate([nodes[~on_iface], nodes[on_iface]]))
+        keys.append(np.concatenate([own[-1], np.unique(np.concatenate(copies[i]))]))
+    local_pos = [np.argsort(k) for k in keys]
+    local_keys = [k[pos] for k, pos in zip(keys, local_pos)]
+    global_keys = np.unique(np.concatenate(own))
+    local_to_global = [np.searchsorted(global_keys, k) for k in keys]
 
     # the assembled interface dofs are the region unknowns at nodes shared by
-    # two or more substructures, in region-major, node-sorted order; every
-    # interface entry of local_to_global is one of them, so the search below
-    # is exact
+    # two or more substructures, in global order; every interface entry of
+    # local_to_global is one of them, so the search below is exact
     n_interior = np.array(n_interior, dtype=np.int64)
+    n_local = np.array([len(k) for k in keys], dtype=np.int64)
     n_iface = n_local - n_interior
     bro_ptr = np.zeros(nsub + 1, dtype=np.int64)
     bro_ptr[1:] = np.cumsum(n_iface)
     bro_holder = np.repeat(np.arange(nsub, dtype=np.int64), n_iface)
-    gamma_global = np.flatnonzero(mult[np.concatenate(region_nodes)] >= 2)
+    gamma_global = np.flatnonzero(mult[global_keys % n_nodes] >= 2)
     iface = [l2g[n_i:] for l2g, n_i in zip(local_to_global, n_interior)]
     bro_gamma = np.searchsorted(gamma_global, np.concatenate(iface))
 
     return DofMap(
         n_substructures=nsub,
-        n_global=int(region_offset[-1]),
+        n_nodes=n_nodes,
         sub_region=region,
-        region_nodes=region_nodes,
-        region_offset=region_offset,
-        own_nodes=own_nodes,
+        global_keys=global_keys,
+        local_keys=local_keys,
+        local_pos=local_pos,
         n_interior=n_interior,
         n_local=n_local,
-        own_local_pos=own_local_pos,
-        copy_start=copy_start,
-        copy_nodes=copy_nodes,
         local_to_global=local_to_global,
         gamma_global=gamma_global,
         bro_ptr=bro_ptr,
@@ -257,17 +239,14 @@ class ConstraintSet:
 
 
 def _class_rows(dofmap: DofMap, side: int, holders, nodes, weights) -> list:
-    """The own row of ``side`` at ``nodes``, then one copy row for every
-    holder that keeps trace copies of the side's region there."""
+    """One row for ``side`` and then for every other holder that holds the
+    side region's values at ``nodes``, own values and trace copies alike."""
     region = int(dofmap.sub_region[side])
-    rows = [ConstraintRow(side, dofmap.own_positions(side, nodes), weights)]
-    for holder in holders:
-        holder = int(holder)
-        if dofmap.holds_copies(holder, region, nodes):
-            rows.append(
-                ConstraintRow(holder, dofmap.copy_positions(holder, region, nodes), weights)
-            )
-    return rows
+    return [
+        ConstraintRow(sub, dofmap.local_ids(sub, region, nodes), weights)
+        for sub in (side, *(int(h) for h in holders if h != side))
+        if dofmap.holds(sub, region, nodes)
+    ]
 
 
 def build_primal_constraints(

@@ -26,6 +26,8 @@ substructure per region.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +84,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_positive_real(value) -> bool:
+    """A finite real number > 0; a bool is not a number here."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class MeshConfig:
     """Parameters of a stacked-cell voxel mesh."""
@@ -124,8 +132,10 @@ class MeshConfig:
                         f"convex_cells supports 1 or 2 cells per axis, got "
                         f"{name}={getattr(self, name)}"
                     )
-        if not self.cell_edge_mm > 0:
-            raise MeshError(f"cell_edge_mm must be positive, got {self.cell_edge_mm}")
+        if not _is_positive_real(self.cell_edge_mm):
+            raise MeshError(
+                f"cell_edge_mm must be a finite number > 0, got {self.cell_edge_mm!r}"
+            )
 
     @property
     def resolution(self) -> int:

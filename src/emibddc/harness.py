@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import io
 import math
-import numbers
 import time
 
 import numpy as np
@@ -35,7 +34,7 @@ from .errors import (
     VerificationError,
 )
 from .femspace import PrimalVariant, build_composite_space, build_primal_constraints
-from .geometry import BATH, MeshConfig, _is_int, build_mesh, extract_interfaces
+from .geometry import BATH, MeshConfig, _is_int, _is_positive_real, build_mesh, extract_interfaces
 from .krylov import pcg
 from .schur import condense
 from . import denseref
@@ -112,9 +111,8 @@ class ExperimentConfig:
                 f"unknown experiment '{self.experiment}'; "
                 f"expected one of {', '.join(_EXPERIMENTS)}"
             )
-        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
-        if not real or not self.tol > 0:
-            raise ConfigError(f"tol must be a real number > 0, got {self.tol!r}")
+        if not _is_positive_real(self.tol):
+            raise ConfigError(f"tol must be a finite number > 0, got {self.tol!r}")
         if not _is_int(self.maxiter) or self.maxiter < 1:
             raise ConfigError(f"maxiter must be an integer >= 1, got {self.maxiter!r}")
         if self.stop not in ("rel", "abs"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emibddc.geometry import Mesh, MeshConfig, extract_interfaces
+from emibddc.geometry import Mesh, MeshConfig, build_mesh, extract_interfaces
 from emibddc.assembly import ModelParams
 from emibddc.harness import build_problem, make_preconditioner
 
@@ -67,6 +67,21 @@ def patch_mesh():
 @pytest.fixture(scope="session")
 def patch_topo(patch_mesh):
     return extract_interfaces(patch_mesh)
+
+
+@pytest.fixture(scope="session")
+def split_bath():
+    """The two-cell row, unchanged and with its bath re-tagged as
+    substructures 0 (x below one cell edge) and 3 (above), both of region 0."""
+    whole = build_mesh(MeshConfig(cells_x=2))
+    centroid_x = whole.vertices[whole.tets].mean(axis=1)[:, 0]
+    tet_sub = np.where(
+        (whole.tet_sub == 0) & (centroid_x > whole.config.cell_edge_cm), 3, whole.tet_sub
+    )
+    split = Mesh(
+        whole.config, whole.vertices, whole.tets, tet_sub, sub_region=np.array([0, 1, 2, 0])
+    )
+    return whole, split
 
 
 @pytest.fixture(scope="session")

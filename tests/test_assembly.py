@@ -199,14 +199,14 @@ def test_rhs_gap_junction_weighting(problem_2cell):
     inside = np.array([n for n in gap.nodes if int(n) not in membrane_nodes])
     assert inside.size > 0
     u = np.zeros(dm.n_global)
-    u[dm.global_own(lead, inside)] = 1.0
+    u[dm.global_ids(lead, inside)] = 1.0
     f = assemble_rhs(mesh, topo, dm, params, u, MembraneState.zeros(topo))
     scale = params.c_m - params.tau / params.r_gap
-    got = f[dm.global_own(lead, gap.nodes)].sum()
+    got = f[dm.global_ids(lead, gap.nodes)].sum()
     # sum of the loaded rows equals the integral of the jump density
     expected = scale * gap.node_weights[np.isin(gap.nodes, inside)].sum()
     npt.assert_allclose(got, expected, rtol=1e-12)
-    npt.assert_allclose(f[dm.global_own(other, gap.nodes)].sum(), -expected, rtol=1e-12)
+    npt.assert_allclose(f[dm.global_ids(other, gap.nodes)].sum(), -expected, rtol=1e-12)
     npt.assert_allclose(f.sum(), 0.0, atol=1e-13)
 
 
@@ -252,6 +252,6 @@ def test_compute_jump_orientation(problem_2cell):
     fg = next(f for f in topo.faces if f.is_membrane)
     lead, other = oriented_pair(fg)
     u = np.zeros(dm.n_global)
-    u[dm.global_own(lead, fg.nodes)] = 2.0
-    u[dm.global_own(other, fg.nodes)] = 0.5
+    u[dm.global_ids(lead, fg.nodes)] = 2.0
+    u[dm.global_ids(other, fg.nodes)] = 0.5
     npt.assert_allclose(compute_jump(dm, fg, u), 1.5)

@@ -4,7 +4,7 @@ import pytest
 
 from emibddc.errors import ConstraintError
 from emibddc.femspace import build_composite_space, build_primal_constraints
-from emibddc.geometry import MeshConfig, build_mesh, extract_interfaces
+from emibddc.geometry import BATH, MeshConfig, build_mesh, extract_interfaces
 
 
 @pytest.fixture(scope="module")
@@ -14,35 +14,47 @@ def two_cell_space():
     return mesh, topo, build_composite_space(mesh, topo)
 
 
-def _node_of(dm, sub, pos):
-    """Geometric node of a local dof (global ids number the region nodes in turn)."""
-    return np.concatenate(dm.region_nodes)[dm.local_to_global[sub][np.asarray(pos)]]
+def _global_table(mesh):
+    """Global id of every (region, node), -1 off the region's closure, from
+    the mesh alone: the regions in turn, each region's nodes in order."""
+    on_closure = np.zeros((mesh.n_regions, len(mesh.vertices)), dtype=bool)
+    tet_region = mesh.sub_region[mesh.tet_sub]
+    for r in range(mesh.n_regions):
+        on_closure[r, mesh.tets[tet_region == r].ravel()] = True
+    table = np.full(on_closure.shape, -1, dtype=np.int64)
+    table[on_closure] = np.arange(on_closure.sum())
+    return table
 
 
-def _global_id(dm, region, node):
-    return dm.region_offset[region] + np.searchsorted(dm.region_nodes[region], node)
+def _node_of(mesh, dm, sub, pos):
+    """Geometric node of a local dof, through its global id."""
+    nodes = np.nonzero(_global_table(mesh) >= 0)[1]
+    return nodes[dm.local_to_global[sub][np.asarray(pos)]]
 
 
-def _broken_reference(dm, topo):
+def _broken_reference(mesh, topo):
     """(holder, side region, node) of every broken interface dof, listed per
     holder: its own interface nodes, then its copies of each other region it
-    shares a face with; and the assembled interface dofs (the own entries'
-    global ids) in order."""
+    shares a face with, from the faces' nodes; and the assembled interface
+    dofs (the own entries' global ids) in order.  Built from ``mesh.tets``
+    and the face groups alone."""
+    copies = {}
+    for fg in topo.faces:
+        if fg.kind != "conforming":
+            copies.setdefault((fg.sub_i, fg.region_j), set()).update(fg.nodes.tolist())
+            copies.setdefault((fg.sub_j, fg.region_i), set()).update(fg.nodes.tolist())
     holder, side, node = [], [], []
-    for i in range(dm.n_substructures):
-        own = dm.own_nodes[i][topo.multiplicity[dm.own_nodes[i]] >= 2]
-        r_i = dm.sub_region[i]
-        others = sorted({int(dm.sub_region[j]) for j in topo.neighbors(i)} - {r_i})
-        blocks = [(r_i, own)] + [(r, dm.copy_nodes[(i, r)]) for r in others]
+    for i in range(mesh.n_substructures):
+        closure = np.unique(mesh.tets[mesh.tet_sub == i])
+        blocks = [(mesh.sub_region[i], closure[topo.multiplicity[closure] >= 2])]
+        blocks += [(r, np.array(sorted(copies[(h, r)]))) for h, r in sorted(copies) if h == i]
         for r, nodes in blocks:
             holder.append(np.full(len(nodes), i, np.int64))
             side.append(np.full(len(nodes), r, np.int64))
             node.append(nodes)
     holder, side, node = (np.concatenate(a) for a in (holder, side, node))
-    is_own = side == dm.sub_region[holder]
-    gamma_global = np.unique(
-        [_global_id(dm, r, x) for r, x in zip(side[is_own], node[is_own])]
-    ).astype(np.int64)
+    is_own = side == mesh.sub_region[holder]
+    gamma_global = np.unique(_global_table(mesh)[side[is_own], node[is_own]])
     return holder, side, node, gamma_global
 
 
@@ -77,7 +89,7 @@ def test_copy_group_sizes(two_cell_space):
 
 def test_junction_node_has_nine_broken_dofs(two_cell_space):
     mesh, topo, dm = two_cell_space
-    holder, bro_side, bro_node, gamma_global = _broken_reference(dm, topo)
+    holder, bro_side, bro_node, gamma_global = _broken_reference(mesh, topo)
     _assert_layout(dm, holder, gamma_global)
     node = topo.junctions[0].nodes[0]
     at_node = np.flatnonzero(bro_node == node)
@@ -88,7 +100,7 @@ def test_junction_node_has_nine_broken_dofs(two_cell_space):
 
 def test_broken_bookkeeping_consistency(two_cell_space):
     mesh, topo, dm = two_cell_space
-    holder, side, _, gamma_global = _broken_reference(dm, topo)
+    holder, side, _, gamma_global = _broken_reference(mesh, topo)
     _assert_layout(dm, holder, gamma_global)
     # copies and own entries agree with the per-substructure slices
     for s in range(mesh.n_substructures):
@@ -100,8 +112,58 @@ def test_broken_bookkeeping_consistency(two_cell_space):
     assert dm.bro_gamma.min() >= 0 and dm.bro_gamma.max() < dm.n_gamma
     # each group holds exactly one own entry (one substructure per region)
     own_per_group = np.zeros(dm.n_gamma, dtype=int)
-    np.add.at(own_per_group, dm.bro_gamma[side == dm.sub_region[holder]], 1)
+    np.add.at(own_per_group, dm.bro_gamma[side == mesh.sub_region[holder]], 1)
     npt.assert_array_equal(own_per_group, np.ones(dm.n_gamma, dtype=int))
+
+
+@pytest.mark.parametrize("which", ["two_cell", "split_bath"])
+def test_one_lookup_for_own_values_and_copies(which, request):
+    """``local_ids`` finds every broken dof of the reference, own value or
+    trace copy, through one (region, node) lookup; ``holds`` is true exactly
+    for the values a substructure holds."""
+    if which == "two_cell":
+        mesh, topo, dm = request.getfixturevalue("two_cell_space")
+    else:
+        mesh = request.getfixturevalue("split_bath")[1]
+        topo = extract_interfaces(mesh)
+        dm = build_composite_space(mesh, topo)
+    holder, side, node, _ = _broken_reference(mesh, topo)
+    table = _global_table(mesh)
+    closures = [np.unique(mesh.tets[mesh.tet_sub == i]) for i in range(mesh.n_substructures)]
+    n_interior = np.array([np.sum(topo.multiplicity[c] < 2) for c in closures])
+    # the broken dofs follow each holder's interior dofs in reference order
+    first = np.searchsorted(holder, holder)
+    position = n_interior[holder] + np.arange(len(holder)) - first
+    for h, r, x, pos in zip(holder, side, node, position):
+        assert dm.holds(h, r, [x])
+        assert dm.local_ids(h, r, [x])[0] == pos
+        assert dm.local_to_global[h][pos] == dm.global_ids(r, x) == table[r, x]
+
+    # each substructure holds its own region on its closure and copies of
+    # another region only at the reference's copy nodes; nothing else
+    for h in range(mesh.n_substructures):
+        for r in range(mesh.n_regions):
+            if r == mesh.sub_region[h]:
+                expected = closures[h]
+            else:
+                expected = node[(holder == h) & (side == r)]
+            held = [x for x in range(len(mesh.vertices)) if dm.holds(h, r, [x])]
+            npt.assert_array_equal(held, expected)
+            # several nodes at once: held only if every one is
+            missing = np.setdiff1d(np.arange(len(mesh.vertices)), expected)
+            if len(expected):
+                assert dm.holds(h, r, expected)
+                assert not dm.holds(h, r, np.append(expected, missing[0]))
+
+    if which == "split_bath":
+        # bath piece 0 does not border cell 2
+        assert not dm.holds(0, 2, closures[0][:1])
+        cut = topo.face_group(0, 3)
+        for h in (0, 3):
+            # region 0 at the cut is each piece's own value, in its own block;
+            # the loop above shows that neither holds copies of region 0
+            assert mesh.sub_region[h] == BATH and dm.holds(h, BATH, cut.nodes)
+            assert np.all(dm.local_ids(h, BATH, cut.nodes) < len(closures[h]))
 
 
 def _hosted_counts(cs, sub):
@@ -141,7 +203,7 @@ def test_edge_average_reproduces_linear_midpoint(patch_mesh, patch_topo):
         jn = patch_topo.junction(*cl.entity)
         mid = patch_mesh.vertices[jn.vertex_nodes].mean(axis=0)
         for row in cl.rows:
-            nodes = _node_of(dm, row.sub, row.local_dofs)
+            nodes = _node_of(patch_mesh, dm, row.sub, row.local_dofs)
             val = np.dot(row.weights, f(patch_mesh.vertices[nodes]))
             npt.assert_allclose(val, f(mid), rtol=1e-13)
             checked += 1
@@ -163,7 +225,7 @@ def test_face_average_is_exact_for_linear_fields(patch_mesh, patch_topo):
         )
         exact = (areas * f(tp.mean(axis=1))).sum() / areas.sum()
         for row in cl.rows:
-            nodes = _node_of(dm, row.sub, row.local_dofs)
+            nodes = _node_of(patch_mesh, dm, row.sub, row.local_dofs)
             val = np.dot(row.weights, f(patch_mesh.vertices[nodes]))
             npt.assert_allclose(val, exact, rtol=1e-13)
             checked += 1
@@ -235,13 +297,13 @@ def test_bro_gamma_matches_per_dof_lookup(which, patch_mesh, patch_topo):
         )
         topo = extract_interfaces(mesh)
     dm = build_composite_space(mesh, topo)
-    holder, bro_side, bro_node, gamma_global = _broken_reference(dm, topo)
+    holder, bro_side, bro_node, gamma_global = _broken_reference(mesh, topo)
     _assert_layout(dm, holder, gamma_global)
     full_to_gamma = np.full(dm.n_global, -1, dtype=np.int64)
     full_to_gamma[gamma_global] = np.arange(len(gamma_global))
+    table = _global_table(mesh)
     reference = np.array(
-        [full_to_gamma[_global_id(dm, r, x)] for r, x in zip(bro_side, bro_node)],
-        dtype=np.int64,
+        [full_to_gamma[table[r, x]] for r, x in zip(bro_side, bro_node)], dtype=np.int64
     )
     assert len(reference) == dm.n_broken > 0
     assert dm.bro_gamma.dtype == reference.dtype

@@ -277,6 +277,20 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
         (["solve", "--set", "mesh.cells_x=true"], "cells_x must be an integer"),
         (["solve", "--set", "mesh.base_resolution=4.0"], "base_resolution must be an integer"),
         (["solve", "--set", "mesh.refinement=0.5"], "refinement must be an integer"),
+        *(
+            (["solve", "--set", "mesh.cells_x=2", "--set", "mesh.cell_edge_mm=100",
+              "--set", setting], message)
+            for setting, message in [
+                ("params.tau=true", "tau must be a finite number"),
+                ("mesh.cell_edge_mm=true", "cell_edge_mm must be a finite number"),
+                ("params.sigma=[20,true,3]", "sigma must be"),
+                ("tol=Infinity", "tol must be a finite number"),
+                ("params.r_gap=Infinity", "r_gap must be a finite number"),
+                ("params.sigma=[20,NaN,3]", "sigma must be"),
+                ("params.tau=Infinity", "tau must be a finite number"),
+                ("mesh.cell_edge_mm=Infinity", "cell_edge_mm must be a finite number"),
+            ]
+        ),
     ],
 )
 def test_cli_bad_config_exits_two(argv, message, capsys):

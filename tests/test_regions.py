@@ -1,9 +1,9 @@
 """The region table: one region cut into two substructures.
 
 The bath of the two-cell row is re-tagged as substructures 0 (x below one
-cell edge) and 3 (above), both of region 0.  The model is unchanged, so the
-global unknowns and operators must equal the unsplit mesh's; the cut is an
-ordinary conforming interface.
+cell edge) and 3 (above), both of region 0 (the ``split_bath`` fixture).
+The model is unchanged, so the global unknowns and operators must equal the
+unsplit mesh's; the cut is an ordinary conforming interface.
 """
 
 import numpy as np
@@ -14,26 +14,13 @@ import scipy.sparse as sp
 from emibddc.assembly import ModelParams, assemble_system
 from emibddc.errors import ConstraintError
 from emibddc.femspace import build_composite_space, build_primal_constraints
-from emibddc.geometry import BATH, Mesh, MeshConfig, build_mesh, extract_interfaces
+from emibddc.geometry import BATH, extract_interfaces
 
 
 def _pipeline(mesh):
     topo = extract_interfaces(mesh)
     dm = build_composite_space(mesh, topo)
     return topo, dm, assemble_system(mesh, topo, dm, ModelParams())
-
-
-@pytest.fixture(scope="module")
-def split_bath():
-    whole = build_mesh(MeshConfig(cells_x=2))
-    centroid_x = whole.vertices[whole.tets].mean(axis=1)[:, 0]
-    tet_sub = np.where(
-        (whole.tet_sub == 0) & (centroid_x > whole.config.cell_edge_cm), 3, whole.tet_sub
-    )
-    split = Mesh(
-        whole.config, whole.vertices, whole.tets, tet_sub, sub_region=np.array([0, 1, 2, 0])
-    )
-    return whole, split
 
 
 def test_split_bath_keeps_the_model(split_bath):
@@ -58,12 +45,11 @@ def test_split_bath_keeps_the_model(split_bath):
         acc = acc + r.T @ lo.matrix @ r
     npt.assert_allclose(acc.toarray(), ops.matrix.toarray(), rtol=0, atol=1e-14)
 
-    # the two bath pieces share their unknowns and hold no copies of each other
-    assert (0, BATH) not in dm.copy_nodes and (3, BATH) not in dm.copy_nodes
+    # the two bath pieces share their unknowns at the cut
     cut = topo.face_group(0, 3)
     npt.assert_array_equal(
-        dm.local_to_global[0][dm.own_positions(0, cut.nodes)],
-        dm.local_to_global[3][dm.own_positions(3, cut.nodes)],
+        dm.local_to_global[0][dm.local_ids(0, BATH, cut.nodes)],
+        dm.local_to_global[3][dm.local_ids(3, BATH, cut.nodes)],
     )
 
 

@@ -10,7 +10,9 @@ and after it and comparing the output.
 The meshes are the two-cell row (2x1x1, default parameters) and the
 meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
 ``vef`` and ``ve`` primal spaces.  Per mesh it hashes ``bro_gamma``,
-``gamma_global`` and the global step matrix K; per primal space the
+``gamma_global``, the global step matrix K, the global stiffness A and
+coupling M, and every substructure's ``local_to_global`` and local
+operator matrix; per primal space the
 interface operator and the preconditioner applied to seeded vectors,
 every substructure's ``psi_gamma`` and the coarse matrix.  A stage that
 raises prints the error's type and message instead.  The package is
@@ -76,6 +78,17 @@ def main() -> int:
         report(f"{name} bro_gamma", lambda: digest(dm.bro_gamma))
         report(f"{name} gamma_global", lambda: digest(dm.gamma_global))
         report(f"{name} K", lambda: digest(k.indptr, k.indices, k.data))
+        ops = problem.operators
+        for label in ("stiffness", "coupling"):
+            m = getattr(ops, label)
+            report(f"{name} {label}", lambda: digest(m.indptr, m.indices, m.data))
+        for lo in ops.local_ops:
+            m = lo.matrix
+            report(f"{name} local_matrix[{lo.sub}]", lambda: digest(m.indptr, m.indices, m.data))
+            report(
+                f"{name} local_to_global[{lo.sub}]",
+                lambda: digest(dm.local_to_global[lo.sub]),
+            )
         rng = np.random.default_rng(SEED)
         v = rng.standard_normal(dm.n_gamma)
         report(f"{name} schur_apply", lambda: digest(problem.schur.apply(v)))
