@@ -46,8 +46,18 @@ def _apply_set(tree: dict, assignment: str) -> None:
 def _load_config(args) -> harness.ExperimentConfig:
     tree = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            tree = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot read config file '{args.config}': {exc.strerror}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config file '{args.config}' is not UTF-8 text: {exc.reason}"
+            ) from exc
+        tree = json.loads(text)
         if not isinstance(tree, dict):
             raise ConfigError("config file must contain a JSON object")
     for assignment in getattr(args, "set", None) or []:

