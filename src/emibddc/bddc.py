@@ -26,6 +26,17 @@ to unit value on one class and zero on the others; with ``g`` its
 constraint targets it is ``W H^{-1} [g; 0]`` and costs no sparse solve.
 The coarse problem is dense and is inverted on the orthogonal complement of
 its one-dimensional kernel (the coarse image of the constant vector).
+
+Step 2 and the per-substructure products of step 3 run on one thread per
+core (:mod:`emibddc._threads`; the pool is sized from the cores this
+process may run on, with no setting), in groups of similar Neumann factor
+size fixed at construction.  A worker writes only its substructures' slices
+of the dual correction and their entries of a per-substructure list; the
+coarse residual is summed from that list in the calling thread, in
+substructure order, so the result is bit-identical for any core count.
+Workers call only private kernels (``ConstrainedSolver._solve``,
+``SPDSolver._solve``), never a public method, so a tracer that wraps the
+public API sees every span on the calling thread.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from ._threads import partition, run_groups
 from .errors import ConstraintError, FactorizationError
 from .femspace import ConstraintSet, DofMap
 from .sparsela import ConstrainedSolver
@@ -68,6 +80,7 @@ class _SubstructureSolver:
         for r, (_, row) in enumerate(rows):
             c[r, row.local_dofs] = row.weights
         self.solver = ConstrainedSolver(lo.neumann, c.tocsr(), label=label)
+        self.cost = lo.neumann.nnz
 
         # energy-minimal coarse basis: unit value on one class, zero on the rest
         psi = self.solver.extend(np.eye(len(rows)))
@@ -81,7 +94,7 @@ class _SubstructureSolver:
         """Constrained Neumann solve for an interface residual (zero primal)."""
         b = np.zeros(self.solver.n)
         b[self.n_interior:] = r_local
-        return self.solver.solve(b)
+        return self.solver._solve(b)
 
 
 class BddcPreconditioner:
@@ -122,6 +135,7 @@ class BddcPreconditioner:
         for ss in self.subs:
             s_pp[np.ix_(ss.class_ids, ss.class_ids)] += ss.coarse_matrix
         self._factor_coarse(s_pp)
+        self._groups = partition([ss.cost for ss in self.subs])
 
     def _factor_coarse(self, s_pp: np.ndarray):
         n = self.coarse_dim
@@ -147,13 +161,21 @@ class BddcPreconditioner:
         """One preconditioned residual z = M^{-1} r on the assembled interface."""
         dm = self.dofmap
         r_bro = self.delta * r_gamma[dm.bro_gamma]
-        z_bro = np.zeros(dm.n_broken)
+        z_bro = np.empty(dm.n_broken)
+        rho_parts = [None] * len(self.subs)
+
+        def run(group):
+            for k in group:
+                ss = self.subs[k]
+                sl = dm.gamma_slice(ss.sub)
+                rho_parts[k] = ss.psi_gamma.T @ r_bro[sl]
+                z_bro[sl] = ss.dual_apply(r_bro[sl])
+
+        run_groups(run, self._groups)
+        # summed here, in substructure order, so no sum depends on the groups
         rho = np.zeros(self.coarse_dim)
-        for ss in self.subs:
-            sl = dm.gamma_slice(ss.sub)
-            r_i = r_bro[sl]
-            rho[ss.class_ids] += ss.psi_gamma.T @ r_i
-            z_bro[sl] = ss.dual_apply(r_i)
+        for ss, part in zip(self.subs, rho_parts):
+            rho[ss.class_ids] += part
         z_pi = self._coarse_solve(rho)
         for ss in self.subs:
             z_bro[dm.gamma_slice(ss.sub)] += ss.psi_gamma @ z_pi[ss.class_ids]

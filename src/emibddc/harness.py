@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import time
 
 import numpy as np
@@ -125,6 +126,12 @@ class ExperimentConfig:
             )
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if self.out:
+            # checked here so that a bad path fails before the study runs
+            if os.path.isdir(self.out):
+                raise ConfigError(f"out '{self.out}' is a directory, not a file path")
+            if not os.path.isdir(os.path.dirname(self.out) or "."):
+                raise ConfigError(f"the directory of out '{self.out}' does not exist")
         if self.rhs not in ("random", "imex"):
             raise ConfigError(f"unknown rhs kind '{self.rhs}'")
         if not self.variants:

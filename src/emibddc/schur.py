@@ -12,6 +12,16 @@ acting on the assembled interface unknowns.  ``S_hat`` inherits symmetry and
 positive semidefiniteness from the step operator and keeps the constant
 vector as its kernel.  The reduction is exact: solving the reduced system
 and back-substituting interiors reproduces the full solution.
+
+:meth:`SchurSystem.apply` runs its per-substructure products on one thread
+per core (:mod:`emibddc._threads`; the pool is sized from the cores this
+process may run on, with no setting).  The substructures are split into
+groups of similar factor size once, at construction; each group writes only
+its own slice of the broken interface vector, so the result is
+bit-identical for any core count.  Workers call only private kernels
+(``SubstructureBlocks._schur_apply``, ``SPDSolver._solve``), never a public
+method, so a tracer that wraps the public API sees every span on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._threads import partition, run_groups
 from .errors import FactorizationError
 from .femspace import DofMap
 from .sparsela import SPDSolver
@@ -40,9 +51,12 @@ class SubstructureBlocks:
 
     def schur_apply(self, v: np.ndarray) -> np.ndarray:
         """S_i v for local interface values v (vector or block)."""
+        return self._schur_apply(v)
+
+    def _schur_apply(self, v: np.ndarray) -> np.ndarray:
         out = self.k_gg @ v
         if self.interior is not None:
-            out = out - self.k_gi @ self.interior.solve(self.k_ig @ v)
+            out = out - self.k_gi @ self.interior._solve(self.k_ig @ v)
         return out
 
     def harmonic_extension(self, v: np.ndarray) -> np.ndarray:
@@ -86,6 +100,9 @@ class SchurSystem:
                     sub=lo.sub, k_ig=k_ig, k_gi=k_gi, k_gg=k_gg, interior=interior,
                 )
             )
+        self._groups = partition(
+            [0 if blk.interior is None else blk.interior.nnz for blk in self.blocks]
+        )
 
     @property
     def n(self) -> int:
@@ -96,9 +113,14 @@ class SchurSystem:
         into the stacked broken interface, one scatter back from it."""
         dm = self.dofmap
         v_bro = v_gamma[dm.bro_gamma]
-        s_bro = np.concatenate(
-            [blk.schur_apply(v_bro[dm.gamma_slice(blk.sub)]) for blk in self.blocks]
-        )
+        s_bro = np.empty(dm.n_broken)
+
+        def run(group):
+            for k in group:
+                sl = dm.gamma_slice(self.blocks[k].sub)
+                s_bro[sl] = self.blocks[k]._schur_apply(v_bro[sl])
+
+        run_groups(run, self._groups)
         return np.bincount(dm.bro_gamma, weights=s_bro, minlength=dm.n_gamma)
 
     def reduce_rhs(self, f: np.ndarray) -> np.ndarray:

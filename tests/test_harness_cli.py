@@ -318,13 +318,25 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
         ),
         (["solve", "--config", "."], "cannot read config file '.': Is a directory"),
         (["solve", "--config", "latin1.json"], "is not UTF-8 text"),
+        (["solve", "--set", "mesh.cells_x=2", "--out", "."], "out '.' is a directory"),
+        (
+            ["solve", "--set", "mesh.cells_x=2", "--out", "missing/x.csv"],
+            "the directory of out 'missing/x.csv' does not exist",
+        ),
+        (["mesh", "--out", "missing/m.vtk"], "does not exist"),
     ],
 )
 def test_cli_bad_config_exits_two(argv, message, capsys, tmp_path, monkeypatch):
-    """Bad stopping modes, seeds, meshes, model parameters, mistyped values
-    and unreadable config files are configuration errors, caught before any
-    study runs."""
+    """Bad stopping modes, seeds, meshes, model parameters, mistyped values,
+    unreadable config files and unwritable output paths are configuration
+    errors, caught before any mesh is built."""
     monkeypatch.chdir(tmp_path)
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built for a bad configuration")
+
+    monkeypatch.setattr(harness, "build_mesh", no_mesh)
+    monkeypatch.setattr(cli, "build_mesh", no_mesh)
     (tmp_path / "latin1.json").write_bytes('{"out": "caf\xe9.csv"}'.encode("latin-1"))
     rc = cli.main(argv)
     err = capsys.readouterr().err
