@@ -15,6 +15,7 @@ error, 2 usage/configuration error.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -166,9 +167,9 @@ def _cmd_experiment(config) -> int:
                 f"polylog={m['polylog_model']:.4f}"
             )
         if config.out:
-            stem = config.out.rsplit(".", 1)[0]
-            harness.write_model_csv(extra, stem + "_model.csv")
-            print(f"wrote {stem + '_model.csv'}")
+            model_out = os.path.splitext(config.out)[0] + "_model.csv"
+            harness.write_model_csv(extra, model_out)
+            print(f"wrote {model_out}")
     elif extra is not None:
         print(
             "summary: "

@@ -322,15 +322,6 @@ class InterfaceTopology:
                 return je
         return None
 
-    def neighbors(self, i: int) -> list:
-        out = set()
-        for fg in self.faces:
-            if fg.sub_i == i:
-                out.add(fg.sub_j)
-            elif fg.sub_j == i:
-                out.add(fg.sub_i)
-        return sorted(out)
-
 
 def _face_lumped_weights(vertices, triangles, nodes):
     _, areas = tri_mass_batch(vertices[triangles])

@@ -346,9 +346,13 @@ def test_criterion_7_invariants():
     )
 
     # condensation extends interface data with minimal energy
-    blk = problem.schur.blocks[0]
     lo = ops.local_ops[0]
-    u_star = blk.harmonic_extension(rng.standard_normal(blk.k_gg.shape[0]))
+    v_gamma = np.zeros(dm.n_gamma)
+    v_gamma[dm.bro_gamma[dm.gamma_slice(0)]] = rng.standard_normal(
+        lo.matrix.shape[0] - lo.n_interior
+    )
+    u_full = problem.schur.recover_interior(v_gamma, np.zeros(dm.n_global))
+    u_star = u_full[dm.local_to_global[0]]
     e_star = u_star @ (lo.matrix @ u_star)
     ok = np.allclose((lo.matrix @ u_star)[: lo.n_interior], 0.0, atol=1e-11)
     for _ in range(10):

@@ -235,6 +235,23 @@ def test_cli_readme_random_sigma_command(tmp_path):
     assert len(lines) == 1 + 40
 
 
+@pytest.mark.parametrize("out", ["./ref", "runs.v2/ref"])
+def test_cli_refinement_model_csv_next_to_out(out, tmp_path, monkeypatch):
+    """The model CSV of a refinement study is the out path without its
+    extension plus ``_model.csv``, also when the path has no extension and
+    a directory name has a dot."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs.v2").mkdir()
+    rc = cli.main(
+        ["experiment", "refinement", "--set", "mesh.cells_x=2", "--set", "levels=[0]",
+         "--out", out]
+    )
+    assert rc == 0
+    expected = (tmp_path / (out + "_model.csv")).resolve()
+    assert [p.resolve() for p in tmp_path.rglob("*_model.csv")] == [expected]
+    assert expected.read_text().startswith("refinement,hh,primal_space,kappa_est,polylog_model")
+
+
 def test_cli_unknown_config_key_exits_two(capsys):
     rc = cli.main(["solve", "--set", "mesh.bogus=3"])
     assert rc == 2

@@ -35,21 +35,33 @@ def test_schur_symmetric_psd_with_constant_kernel(small):
     npt.assert_allclose(s @ np.ones(s.shape[0]), 0.0, atol=1e-12)
 
 
+def _extension(problem, sub, v):
+    """Discrete-harmonic local vector [u_I; v] of ``sub`` for local interface
+    values v: the recovery with zero load from v scattered into an otherwise
+    zero interface vector, restricted to ``sub``."""
+    dm = problem.dofmap
+    v_gamma = np.zeros(dm.n_gamma)
+    v_gamma[dm.bro_gamma[dm.gamma_slice(sub)]] = v
+    u = problem.schur.recover_interior(v_gamma, np.zeros(dm.n_global))
+    return u[dm.local_to_global[sub]]
+
+
 def test_energy_identity(small):
     """Trace energy equals the volume energy of the harmonic extension."""
     rng = np.random.default_rng(11)
-    for blk, lo in zip(small.schur.blocks, small.operators.local_ops):
-        v = rng.standard_normal(blk.k_gg.shape[0])
-        u = blk.harmonic_extension(v)
-        npt.assert_allclose(blk.energy(v), u @ (lo.matrix @ u), rtol=1e-10)
+    k = small.operators.matrix
+    zero = np.zeros(small.dofmap.n_global)
+    for _ in range(3):
+        v = rng.standard_normal(small.schur.n)
+        u = small.schur.recover_interior(v, zero)
+        npt.assert_allclose(v @ small.schur.apply(v), u @ (k @ u), rtol=1e-10)
 
 
 def test_harmonic_extension_minimizes_energy(small):
     rng = np.random.default_rng(12)
-    blk = small.schur.blocks[0]
     lo = small.operators.local_ops[0]
-    v = rng.standard_normal(blk.k_gg.shape[0])
-    u_star = blk.harmonic_extension(v)
+    v = rng.standard_normal(lo.matrix.shape[0] - lo.n_interior)
+    u_star = _extension(small, 0, v)
     e_star = u_star @ (lo.matrix @ u_star)
     n_i = lo.n_interior
     for _ in range(10):
@@ -61,9 +73,8 @@ def test_harmonic_extension_minimizes_energy(small):
 def test_harmonic_extension_interior_residual_vanishes(small):
     """K u = 0 on interior rows defines the discrete-harmonic extension."""
     rng = np.random.default_rng(13)
-    blk = small.schur.blocks[0]
     lo = small.operators.local_ops[0]
-    u = blk.harmonic_extension(rng.standard_normal(blk.k_gg.shape[0]))
+    u = _extension(small, 0, rng.standard_normal(lo.matrix.shape[0] - lo.n_interior))
     res = (lo.matrix @ u)[: lo.n_interior]
     npt.assert_allclose(res, 0.0, atol=1e-11)
 
@@ -112,22 +123,25 @@ def test_randomized_psd(small):
 
 @pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
 def test_apply_equals_per_substructure_scatter(which, patch_mesh, patch_topo):
-    """One gather and one scatter over the stacked broken interface give, bit
-    for bit, the sum of one scatter per substructure."""
+    """The stacked products, one gather and one scatter give, bit for bit,
+    the sum of one scatter of K_gg v - K_gI K_II^{-1} K_Ig v per
+    substructure."""
     if which == "patch":
         dm = build_composite_space(patch_mesh, patch_topo)
         ops = assemble_system(patch_mesh, patch_topo, dm, ModelParams())
         sch = condense(dm, ops.local_ops)
     else:
         problem = build_problem(MeshConfig(cells_x=2, cells_y=2, cells_z=1), ModelParams())
-        dm, sch = problem.dofmap, problem.schur
+        dm, ops, sch = problem.dofmap, problem.operators, problem.schur
     rng = np.random.default_rng(17)
     for _ in range(3):
         v = rng.standard_normal(dm.n_gamma)
         expected = np.zeros(dm.n_gamma)
-        for blk in sch.blocks:
-            ids = dm.bro_gamma[dm.gamma_slice(blk.sub)]
-            expected += np.bincount(
-                ids, weights=blk.schur_apply(v[ids]), minlength=dm.n_gamma
-            )
+        for lo, factor in zip(ops.local_ops, sch.interiors):
+            n_i, k = lo.n_interior, lo.matrix
+            ids = dm.bro_gamma[dm.gamma_slice(lo.sub)]
+            s = k[n_i:, n_i:].tocsr() @ v[ids]
+            if factor is not None:
+                s = s - k[n_i:, :n_i].tocsr() @ factor.solve(k[:n_i, n_i:].tocsr() @ v[ids])
+            expected += np.bincount(ids, weights=s, minlength=dm.n_gamma)
         assert np.array_equal(sch.apply(v), expected)

@@ -13,7 +13,7 @@ from emibddc.assembly import ModelParams
 from emibddc.errors import FactorizationError
 from emibddc.geometry import MeshConfig
 from emibddc.harness import build_problem, make_preconditioner, random_rhs, solve_interface
-from emibddc.schur import SubstructureBlocks
+from emibddc.schur import SchurSystem
 from emibddc.sparsela import ConstrainedSolver, SPDSolver
 
 GRIDS = {"2x2x1": (2, 2, 1), "2x2x2": (2, 2, 2)}
@@ -60,8 +60,8 @@ def test_run_groups_waits_and_raises_first_error_in_group_order():
 
 @pytest.mark.parametrize("variant", ["vef", "ve"])
 def test_threaded_applies_match_one_group(grid_problem, variant):
-    """S-apply, M-apply and a whole solve give the same bits for the default
-    groups, two groups and one group."""
+    """S-apply, M-apply, reduced load, interior recovery and a whole solve
+    give the same bits for the default groups, two groups and one group."""
     problem = grid_problem
     schur = problem.schur
     precond = make_preconditioner(problem, variant)
@@ -71,12 +71,15 @@ def test_threaded_applies_match_one_group(grid_problem, variant):
 
     def results():
         u, report = _solve(problem, precond, f)
-        return schur.apply(v), precond.apply(v), u, report.iterations, report.kappa_est
+        return (
+            schur.apply(v), precond.apply(v), schur.reduce_rhs(f), schur.recover_interior(v, f),
+            u, report.iterations, report.kappa_est,
+        )
 
     layouts = {
         "default": (schur._groups, precond._groups),
         "two": (_two_groups(schur), _two_groups(precond)),
-        "one": ([list(range(len(schur.blocks)))], [list(range(len(precond.subs)))]),
+        "one": ([list(range(len(schur.interiors)))], [list(range(len(precond.subs)))]),
     }
     got = {}
     try:
@@ -86,9 +89,10 @@ def test_threaded_applies_match_one_group(grid_problem, variant):
     finally:
         schur._groups, precond._groups = layouts["default"]
     for name in ("default", "two"):
-        s, m, u, its, kappa = got[name]
-        s1, m1, u1, its1, kappa1 = got["one"]
+        s, m, g, r, u, its, kappa = got[name]
+        s1, m1, g1, r1, u1, its1, kappa1 = got["one"]
         assert np.array_equal(s, s1) and np.array_equal(m, m1), name
+        assert np.array_equal(g, g1) and np.array_equal(r, r1), name
         assert np.array_equal(u, u1) and its == its1 and kappa == kappa1, name
 
 
@@ -102,7 +106,7 @@ def test_one_group_per_substructure_under_fast_switching(grid_problem):
     default = schur._groups, precond._groups
     interval = sys.getswitchinterval()
     try:
-        schur._groups = [[k] for k in range(len(schur.blocks))]
+        schur._groups = [[k] for k in range(len(schur.interiors))]
         precond._groups = [[k] for k in range(len(precond.subs))]
         sys.setswitchinterval(1e-6)
         for _ in range(20):
@@ -125,7 +129,9 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     for cls, name, log in (
         (SPDSolver, "solve", public),
         (ConstrainedSolver, "solve", public),
-        (SubstructureBlocks, "schur_apply", public),
+        (SchurSystem, "apply", public),
+        (SchurSystem, "reduce_rhs", public),
+        (SchurSystem, "recover_interior", public),
         (SPDSolver, "_solve", private),
     ):
         def record(*args, _fn=getattr(cls, name), _log=log, **kwargs):
@@ -148,7 +154,7 @@ def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
     precond = make_preconditioner(problem_2cell, "vef")
     if which == "schur":
         obj = problem_2cell.schur
-        target = obj.blocks[1].interior
+        target = obj.interiors[1]
     else:
         obj = precond
         target = obj.subs[1].solver

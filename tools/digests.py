@@ -20,8 +20,9 @@ meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
 ``vef`` and ``ve`` primal spaces.  Per mesh it hashes ``bro_gamma``,
 ``gamma_global``, the global step matrix K, the global stiffness A and
 coupling M, and every substructure's ``local_to_global`` and local
-operator matrix; per primal space the
-interface operator and the preconditioner applied to seeded vectors,
+operator matrix, the interface operator applied to a seeded vector, and
+the reduced load and the recovered solution for a seeded compatible
+load; per primal space the preconditioner applied to the same vector,
 every substructure's ``psi_gamma`` and the coarse matrix.  A stage that
 raises prints the error's type and message instead.  The package is
 imported from ``src/`` next to this directory.
@@ -45,7 +46,7 @@ import numpy as np  # noqa: E402
 from bench import WORKLOADS  # noqa: E402
 from emibddc.assembly import ModelParams  # noqa: E402
 from emibddc.geometry import MeshConfig  # noqa: E402
-from emibddc.harness import build_problem, make_preconditioner  # noqa: E402
+from emibddc.harness import build_problem, make_preconditioner, random_rhs  # noqa: E402
 
 SEED = 2026
 
@@ -150,7 +151,10 @@ def main(argv=None) -> int:
             out.hashed(f"{name} local_to_global[{lo.sub}]", lambda: (dm.local_to_global[lo.sub],))
         rng = np.random.default_rng(SEED)
         v = rng.standard_normal(dm.n_gamma)
+        f = random_rhs(problem, rng)
         out.hashed(f"{name} schur_apply", lambda: (problem.schur.apply(v),))
+        out.hashed(f"{name} reduce_rhs", lambda: (problem.schur.reduce_rhs(f),))
+        out.hashed(f"{name} recover_interior", lambda: (problem.schur.recover_interior(v, f),))
         for variant in ("vef", "ve"):
             tag = f"{name} {variant}"
             pc = out.built(f"{tag} preconditioner", lambda: make_preconditioner(problem, variant))
