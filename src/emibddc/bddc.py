@@ -6,8 +6,10 @@ The preconditioner works on the assembled interface unknowns of the reduced
 1. scaled restriction of the residual into the stacked broken interface
    (every copy group shares the residual by conductivity weights),
 2. independent constrained Neumann solves per substructure, where the primal
-   averages are forced to zero (the *dual* correction),
-3. one coarse solve in the primal class space, built from energy-minimal
+   averages are forced to zero (the *dual* correction); the multipliers of
+   each solve carry its part of the coarse residual,
+3. one coarse solve in the primal class space with the dense coarse
+   operator, whose solution each substructure extends by energy-minimal
    local basis functions (the *coarse* correction),
 4. scaled prolongation back to the assembled interface.
 
@@ -18,25 +20,36 @@ through the multipliers of :class:`~emibddc.sparsela.ConstrainedSolver`, so
 each substructure's Neumann matrix is its full local operator, pinned at
 one entry for its constant kernel.  Its sparse LU factorization is built
 once per problem as ``LocalOperator.neumann`` and shared by ``vef`` and
-``ve``; each preconditioner adds only its own multiplier basis ``W`` and
-dense ``H``.
+``ve``; each preconditioner adds only its own multiplier basis ``W`` at the
+interface rows, the LU of the dense multiplier matrix ``H`` and the small
+``Q = H^{-1} [I_m; 0]``.
 
-The coarse basis ``psi`` of a substructure minimizes local energy subject
-to unit value on one class and zero on the others; with ``g`` its
-constraint targets it is ``W H^{-1} [g; 0]`` and costs no sparse solve.
+The coarse basis ``psi = W Q`` of a substructure minimizes local energy
+subject to unit value on one class and zero on the others, but it is never
+formed: its energy ``psi^T K psi`` is ``H^{-1}[:m, :m] = Q[:m]``, the
+substructure's block of the coarse operator, and for a load ``b`` its
+coarse residual ``psi^T b`` is ``lam[:m]``, the leading dual multipliers
+``lam = H^{-1} Ct y`` of the load response ``y``.  An application is
+therefore two phases per substructure around the coarse solve:
+
+* phase one, ``y = K_p^{-1} [0; r_i]``, ``lam_i = H^{-1} Ct y`` and
+  ``z_i = y_Gamma``; the coarse residual is the sum of the ``lam_i[:m]``,
+* phase two, ``z_i += W_Gamma (Q z_Pi[classes] - lam_i)``, the dual and the
+  coarse correction in one dense product.
+
 The coarse problem is dense and is inverted on the orthogonal complement of
 its one-dimensional kernel (the coarse image of the constant vector).
 
-Step 2 and the per-substructure products of step 3 run on one thread per
-core (:mod:`emibddc._threads`; the pool is sized from the cores this
-process may run on, with no setting), in groups of similar Neumann factor
-size fixed at construction.  A worker writes only its substructures' slices
-of the dual correction and their entries of a per-substructure list; the
-coarse residual is summed from that list in the calling thread, in
-substructure order, so the result is bit-identical for any core count.
-Workers call only private kernels (``ConstrainedSolver._solve``,
-``SPDSolver._solve``), never a public method, so a tracer that wraps the
-public API sees every span on the calling thread.
+Both phases run on one thread per core (:mod:`emibddc._threads`; the pool
+is sized from the cores this process may run on, with no setting), in
+groups of similar Neumann factor size fixed at construction.  A worker
+writes only its substructures' slices of the correction and their entries
+of a per-substructure list of multipliers; the coarse residual is summed
+from that list in the calling thread, in substructure order, so the result
+is bit-identical for any core count.  Workers call only private kernels
+(``ConstrainedSolver._multipliers`` and ``_correct``, ``SPDSolver._solve``),
+never a public method, so a tracer that wraps the public API sees every
+span on the calling thread.
 """
 
 from __future__ import annotations
@@ -69,10 +82,11 @@ def build_scaling(dofmap: DofMap, sigma: np.ndarray) -> np.ndarray:
 
 
 class _SubstructureSolver:
-    """Dual solver plus coarse basis of one substructure."""
+    """Constrained Neumann solver of one substructure and its coarse block."""
 
-    def __init__(self, lo, rows, label):
+    def __init__(self, lo, rows, gamma, label):
         self.sub = lo.sub
+        self.gamma = gamma  # slice of the stacked broken interface
         self.n_interior = lo.n_interior
         n_loc = lo.matrix.shape[0]
         self.class_ids = np.array([cid for cid, _ in rows], dtype=np.int64)
@@ -81,20 +95,10 @@ class _SubstructureSolver:
             c[r, row.local_dofs] = row.weights
         self.solver = ConstrainedSolver(lo.neumann, c.tocsr(), label=label)
         self.cost = lo.neumann.nnz
-
-        # energy-minimal coarse basis: unit value on one class, zero on the rest
-        psi = self.solver.extend(np.eye(len(rows)))
-        self.coarse_matrix = psi.T @ (lo.matrix @ psi)
-        self.psi_gamma = np.ascontiguousarray(psi[self.n_interior:])
-
-        # applies only ever need interface rows of the dual solution
+        # psi^T K psi of the energy-minimal coarse basis psi = W Q
+        self.coarse_matrix = self.solver.q[: len(rows)]
+        # applies only ever need interface rows of the solution
         self.solver.compress(np.arange(self.n_interior, n_loc))
-
-    def dual_apply(self, r_local: np.ndarray) -> np.ndarray:
-        """Constrained Neumann solve for an interface residual (zero primal)."""
-        b = np.zeros(self.solver.n)
-        b[self.n_interior:] = r_local
-        return self.solver._solve(b)
 
 
 class BddcPreconditioner:
@@ -127,7 +131,8 @@ class BddcPreconditioner:
                 )
             self.subs.append(
                 _SubstructureSolver(
-                    lo, rows, label=f"substructure {lo.sub} dual block"
+                    lo, rows, dofmap.gamma_slice(lo.sub),
+                    label=f"substructure {lo.sub} dual block",
                 )
             )
 
@@ -162,23 +167,27 @@ class BddcPreconditioner:
         dm = self.dofmap
         r_bro = self.delta * r_gamma[dm.bro_gamma]
         z_bro = np.empty(dm.n_broken)
-        rho_parts = [None] * len(self.subs)
+        lam = [None] * len(self.subs)
 
-        def run(group):
+        def dual(group):
             for k in group:
                 ss = self.subs[k]
-                sl = dm.gamma_slice(ss.sub)
-                rho_parts[k] = ss.psi_gamma.T @ r_bro[sl]
-                z_bro[sl] = ss.dual_apply(r_bro[sl])
+                b = np.zeros(ss.solver.n)
+                b[ss.n_interior:] = r_bro[ss.gamma]
+                z_bro[ss.gamma], lam[k] = ss.solver._multipliers(b)
 
-        run_groups(run, self._groups)
+        def coarse(group):
+            for k in group:
+                ss = self.subs[k]
+                ss.solver._correct(z_bro[ss.gamma], lam[k], z_pi[ss.class_ids])
+
+        run_groups(dual, self._groups)
         # summed here, in substructure order, so no sum depends on the groups
         rho = np.zeros(self.coarse_dim)
-        for ss, part in zip(self.subs, rho_parts):
-            rho[ss.class_ids] += part
+        for ss, part in zip(self.subs, lam):
+            rho[ss.class_ids] += part[: len(ss.class_ids)]
         z_pi = self._coarse_solve(rho)
-        for ss in self.subs:
-            z_bro[dm.gamma_slice(ss.sub)] += ss.psi_gamma @ z_pi[ss.class_ids]
+        run_groups(coarse, self._groups)
         return np.bincount(
             dm.bro_gamma, weights=self.delta * z_bro, minlength=dm.n_gamma
         )

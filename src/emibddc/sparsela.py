@@ -32,14 +32,18 @@ Two building blocks:
   The factor of ``A + rho*e_p*e_p^T`` does not depend on ``C``, so a caller
   that solves against several constraint sets builds the :class:`SPDSolver`
   once and hands it to every :class:`ConstrainedSolver`.  With the
-  multiplier basis ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T`` and the dense
-  ``H = Ct W - D`` the solution is the sum of two parts,
+  multiplier basis ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T``, the dense
+  ``H = Ct W - D`` and its first ``m`` columns solved once,
+  ``Q = H^{-1} [I_m; 0]``, the solution for a load ``b`` and targets ``g`` is
 
-      solve(b)  = y - W H^{-1} Ct y,     y = (A + rho*e_p*e_p^T)^{-1} b,
-      extend(g) = W H^{-1} [g; 0],
+      u = y + W (Q g - lam),   y = (A + rho*e_p*e_p^T)^{-1} b,   lam = H^{-1} Ct y,
 
-  the load response with ``C u = 0`` and the unloaded energy-minimal
-  extension of the targets; the second needs no sparse solve.
+  in two phases: the sparse solve and the multipliers ``lam``, then one
+  dense product with ``W``; the targets need no sparse solve.  ``Q`` is
+  also the energy of the extensions: ``psi = W Q`` minimizes
+  ``psi^T A psi`` subject to ``C psi = I_m``, and ``psi^T A psi = Q[:m]``,
+  since ``psi^T (A + rho*e_p*e_p^T) psi = Q[:m] + Q^T D Q`` and the pin
+  adds ``rho*(e_p^T psi)^2 = Q^T D Q``.  Likewise ``psi^T b = lam[:m]``.
 """
 
 from __future__ import annotations
@@ -157,9 +161,12 @@ class ConstrainedSolver:
     constraints:
         Sparse constraint rows (``m`` x ``n``).
 
-    :meth:`solve` returns the solution for a load with zero constraint
-    values, :meth:`extend` the one for constraint values with zero load;
-    the solution for both is their sum.
+    :meth:`solve` returns the solution for a load and constraint targets.
+    Its two phases are private kernels that worker threads may call:
+    :meth:`_multipliers` (the sparse solve) and :meth:`_correct` (one dense
+    product with ``W``).  ``q`` is ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows
+    with the pin, else ``m``); its first ``m`` rows are the energy of the
+    extensions of the unit targets.
     """
 
     def __init__(self, factor: SPDSolver, constraints, label=""):
@@ -182,57 +189,47 @@ class ConstrainedSolver:
         self._mt = self._ct.shape[0]
         self._spd = factor
         self._rows = None
-        self._w = None
-        self._h_lu = None
-        if self._mt:
-            w = self._spd.solve(self._ct.T.toarray())
-            h = self._ct @ w
-            if self._rho:
-                h[-1, -1] -= 1.0 / self._rho
-            try:
-                with np.errstate(invalid="raise"), warnings.catch_warnings():
-                    # singular pivots are caught explicitly below
-                    warnings.simplefilter("ignore", sla.LinAlgWarning)
-                    self._h_lu = sla.lu_factor(h)
-            except (ValueError, sla.LinAlgError, FloatingPointError) as exc:
-                raise FactorizationError(
-                    f"dependent constraint rows for {label or '?'}"
-                ) from exc
-            piv = np.abs(np.diag(self._h_lu[0]))
-            if piv.size and piv.min() <= 1e-13 * max(piv.max(), 1.0):
-                raise FactorizationError(
-                    f"dependent constraint rows for {label or '?'}"
-                )
-            self._w = w.reshape(self.n, self._mt)
+        w = self._spd.solve(self._ct.T.toarray())
+        h = self._ct @ w
+        if self._rho:
+            h[-1, -1] -= 1.0 / self._rho
+        try:
+            with np.errstate(invalid="raise"), warnings.catch_warnings():
+                # singular pivots are caught explicitly below
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                self._h_lu = sla.lu_factor(h)
+        except (ValueError, sla.LinAlgError, FloatingPointError) as exc:
+            raise FactorizationError(
+                f"dependent constraint rows for {label or '?'}"
+            ) from exc
+        piv = np.abs(np.diag(self._h_lu[0]))
+        if piv.size and piv.min() <= 1e-13 * max(piv.max(), 1.0):
+            raise FactorizationError(
+                f"dependent constraint rows for {label or '?'}"
+            )
+        self._w = w
+        self.q = sla.lu_solve(self._h_lu, np.eye(self._mt, self.m))
 
     def compress(self, rows: np.ndarray):
-        """Keep the multiplier basis only at ``rows``; later solves and
-        extensions return the solution restricted to those rows."""
+        """Keep the multiplier basis only at ``rows``; later solves return
+        the solution restricted to those rows."""
         self._rows = np.asarray(rows, dtype=np.int64)
-        if self._w is not None:
-            self._w = np.ascontiguousarray(self._w[self._rows])
+        self._w = np.ascontiguousarray(self._w[self._rows])
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Energy minimizer for the load ``rhs`` (one vector or a block of
-        columns) subject to ``C u = 0``."""
-        return self._solve(rhs)
+    def solve(self, rhs: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
+        """Energy minimizer for the load ``rhs`` subject to ``C u = targets``
+        (zero when omitted): one vector, or a block of columns in both."""
+        y, lam = self._multipliers(rhs)
+        g = np.zeros((self.m,) + y.shape[1:]) if targets is None else targets
+        return self._correct(y, lam, np.asarray(g, dtype=np.float64))
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=np.float64)
-        squeeze = rhs.ndim == 1
-        y = self._spd._solve(rhs.reshape(self.n, -1))
-        out = y if self._rows is None else y[self._rows]
-        if self._mt:
-            out = out - self._w @ sla.lu_solve(self._h_lu, self._ct @ y)
-        return out[:, 0] if squeeze else out
+    def _multipliers(self, rhs: np.ndarray):
+        """Phase one: ``y`` at the kept rows and ``lam = H^{-1} Ct y``."""
+        y = self._spd._solve(rhs)
+        lam = sla.lu_solve(self._h_lu, self._ct @ y)
+        return (y if self._rows is None else y[self._rows]), lam
 
-    def extend(self, targets: np.ndarray) -> np.ndarray:
-        """Energy minimizer without load subject to ``C u = targets``
-        (``(m,)`` or ``(m, k)``): ``W H^{-1} [g; 0]``, no sparse solve."""
-        g = np.asarray(targets, dtype=np.float64)
-        squeeze = g.ndim == 1
-        g = g.reshape(self.m, -1)
-        lam = np.zeros((self._mt, g.shape[1]))
-        lam[: self.m] = g
-        out = self._w @ sla.lu_solve(self._h_lu, lam)
-        return out[:, 0] if squeeze else out
+    def _correct(self, y: np.ndarray, lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Phase two, in place: ``y += W (Q g - lam)``; returns ``y``."""
+        y += self._w @ (self.q @ targets - lam)
+        return y

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from emibddc import denseref
 from emibddc.assembly import ModelParams, assemble_system
@@ -12,7 +13,7 @@ from emibddc.femspace import build_composite_space, build_primal_constraints
 from emibddc.geometry import Mesh, MeshConfig, build_mesh, extract_interfaces
 from emibddc.harness import Problem, build_problem, make_preconditioner
 from emibddc.schur import condense
-from emibddc.sparsela import SPDSolver
+from emibddc.sparsela import ConstrainedSolver, SPDSolver
 
 
 def test_scaling_values_on_membrane_and_junction(problem_2cell):
@@ -158,6 +159,17 @@ def test_coarse_space_ordering(problem_2cell, precond_2cell_vef, precond_2cell_v
     assert precond_2cell_ve.coarse_dim < precond_2cell_vef.coarse_dim
 
 
+def _coarse_basis(pc, ss, lo):
+    """The energy-minimal coarse basis of one substructure on all its local
+    dofs: no load and unit targets, from an uncompressed solver."""
+    rows = pc.constraints.rows_of(ss.sub)
+    c = np.zeros((len(rows), lo.matrix.shape[0]))
+    for r, (_, row) in enumerate(rows):
+        c[r, row.local_dofs] = row.weights
+    full = ConstrainedSolver(lo.neumann, sp.csr_matrix(c))
+    return full.solve(np.zeros((full.n, len(rows))), np.eye(len(rows)))
+
+
 def test_coarse_basis_interpolates_constraints(problem_2cell, patch_mesh, patch_topo):
     """Each coarse basis function carries a unit value on its own class and
     zero on every other class of the same substructure, vertex classes
@@ -173,8 +185,9 @@ def test_coarse_basis_interpolates_constraints(problem_2cell, patch_mesh, patch_
         pc = BddcPreconditioner(dm, cs, ops.local_ops, ops.sigma)
         for ss, lo in zip(pc.subs, ops.local_ops):
             n_i = lo.n_interior
+            psi_gamma = _coarse_basis(pc, ss, lo)[n_i:]
             for c, (cid, row) in enumerate(cs.rows_of(ss.sub)):
-                applied = ss.psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
+                applied = psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
                 expected = np.zeros(len(ss.class_ids))
                 expected[c] = 1.0
                 npt.assert_allclose(applied, expected, atol=1e-10)
@@ -281,10 +294,36 @@ def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypa
         # C psi hits its targets: unit on its own class, zero on the others
         for ss, lo in zip(reused.subs, problem.operators.local_ops):
             n_i = lo.n_interior
+            psi_gamma = _coarse_basis(reused, ss, lo)[n_i:]
             expected = np.eye(len(ss.class_ids))
             for c, (_, row) in enumerate(cs.rows_of(ss.sub)):
-                got = ss.psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
+                got = psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
                 npt.assert_allclose(got, expected[c], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
+def test_coarse_operator_and_residual_from_multipliers(which, patch_mesh):
+    """The coarse block each substructure keeps, Q[:m], is psi^T K psi of
+    its coarse basis with the pin taken out again, and the leading
+    multipliers of the first apply phase are the coarse residual
+    psi_Gamma^T r.  Entries that vanish in exact arithmetic carry only
+    round-off, so both compare relative to their largest entry."""
+
+    def assert_close(actual, desired):
+        npt.assert_allclose(actual, desired, rtol=0, atol=1e-10 * np.abs(desired).max())
+
+    problem = _problem_on(which, patch_mesh)
+    pc = make_preconditioner(problem, "vef")
+    rng = np.random.default_rng(32)
+    for ss, lo in zip(pc.subs, problem.operators.local_ops):
+        n_i, m = lo.n_interior, len(ss.class_ids)
+        psi = _coarse_basis(pc, ss, lo)
+        assert_close(ss.coarse_matrix, psi.T @ (lo.matrix @ psi))
+        r = rng.standard_normal(psi.shape[0] - n_i)
+        b = np.zeros(psi.shape[0])
+        b[n_i:] = r
+        _, lam = ss.solver._multipliers(b)
+        assert_close(lam[:m], psi[n_i:].T @ r)
 
 
 def test_repeated_vertex_row_rejected(patch_mesh):

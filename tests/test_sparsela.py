@@ -83,7 +83,7 @@ def test_constrained_matches_dense_kkt_spd():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     solver = ConstrainedSolver(SPDSolver(a), c)
-    u = solver.solve(b) + solver.extend(g)
+    u = solver.solve(b, g)
     npt.assert_allclose(u, _dense_kkt(a.toarray(), c.toarray(), b, g), rtol=1e-9)
     npt.assert_allclose(c @ u, g, atol=1e-9)
 
@@ -99,7 +99,7 @@ def test_constrained_matches_dense_kkt_singular():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    u = solver.solve(b) + solver.extend(g)
+    u = solver.solve(b, g)
     # dense reference: KKT with the same pin construction is equivalent to
     # the original singular KKT, which we solve via lstsq on the full system
     n_tot = n + m
@@ -135,7 +135,7 @@ def test_constrained_energy_minimization():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    u = solver.solve(b) + solver.extend(g)
+    u = solver.solve(b, g)
     energy = lambda v: 0.5 * v @ ad @ v - b @ v
     e0 = energy(u)
     basis = np.linalg.svd(c_rows)[2][m:]  # null space of the constraints
@@ -155,6 +155,11 @@ def test_compress_restricts_solution():
     compressed = ConstrainedSolver(SPDSolver(a), c)
     compressed.compress(rows)
     npt.assert_allclose(compressed.solve(b), full[rows], rtol=1e-12)
+    g = rng.standard_normal(2)
+    npt.assert_allclose(
+        compressed.solve(b, g), ConstrainedSolver(SPDSolver(a), c).solve(b, g)[rows],
+        rtol=1e-12,
+    )
 
 
 def test_constraint_width_checked():
@@ -188,14 +193,13 @@ def test_shared_factor_serves_several_constraint_sets():
         g = rng.standard_normal(m)
         own = ConstrainedSolver(SPDSolver(a, pin=True), c)
         shared = ConstrainedSolver(factor, c)
-        npt.assert_array_equal(
-            shared.solve(b) + shared.extend(g), own.solve(b) + own.extend(g)
-        )
+        npt.assert_array_equal(shared.solve(b, g), own.solve(b, g))
 
 
 def test_extend_takes_no_sparse_solve(monkeypatch):
-    """Constraint targets without a load give W H^{-1} [g; 0]: no sparse
-    solve, and every column meets its targets."""
+    """Constraint targets cost no sparse solve: with or without targets a
+    block load takes one block solve, the targets add W H^{-1} [g; 0],
+    and every column meets its targets."""
     rng = np.random.default_rng(8)
     n, m = 20, 3
     a = _random_psd_with_constant_kernel(n, rng)
@@ -203,19 +207,24 @@ def test_extend_takes_no_sparse_solve(monkeypatch):
     c_rows[0] += 1.0
     c = sp.csr_matrix(c_rows)
     solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
+    b = rng.standard_normal((n, 4))
     g = rng.standard_normal((m, 4))
     calls = []
-    original = SPDSolver.solve
+    original = SPDSolver._solve
 
     def counting(self, rhs):
         calls.append(rhs.shape)
         return original(self, rhs)
 
-    monkeypatch.setattr(SPDSolver, "solve", counting)
-    u = solver.extend(g)
-    single = solver.extend(g[:, 2])
+    monkeypatch.setattr(SPDSolver, "_solve", counting)
+    loaded = solver.solve(b)
+    u = solver.solve(b, g)
+    single = solver.solve(b[:, 2], g[:, 2])
     monkeypatch.undo()
-    assert calls == []
+    assert calls == [(n, 4), (n, 4), (n,)]
     assert u.shape == (n, 4)
     npt.assert_allclose(single, u[:, 2], rtol=1e-12, atol=1e-12)
     npt.assert_allclose(c @ u, g, atol=1e-10)
+    extension = solver.solve(np.zeros((n, 4)), g)
+    npt.assert_allclose(u, loaded + extension, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(c @ extension, g, atol=1e-10)

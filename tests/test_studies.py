@@ -64,29 +64,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.75004519718864,
-                "polylog_model": 4.75004519718864,
+                "kappa_est": 4.750045197188927,
+                "polylog_model": 4.750045197188927,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.7485511259944655,
-                "polylog_model": 4.7485511259944655,
+                "kappa_est": 4.748551125993225,
+                "polylog_model": 4.748551125993225,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
-                "kappa_est": 4.992188575565226,
-                "polylog_model": 7.910312489563659,
+                "kappa_est": 4.992188575565364,
+                "polylog_model": 7.910312489564136,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
-                "kappa_est": 4.990672350718375,
-                "polylog_model": 7.907824393232582,
+                "kappa_est": 4.990672350718383,
+                "polylog_model": 7.907824393230516,
             },
         ],
     ),
@@ -104,9 +104,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.732510532570008,
-            "kappa_mean": 4.741763157572491,
-            "kappa_max": 4.75004519718864,
+            "kappa_min": 4.732510532569744,
+            "kappa_mean": 4.7417631575720005,
+            "kappa_max": 4.750045197188927,
         },
     ),
     "random_sigma": (
@@ -123,9 +123,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.704282951309302,
-            "kappa_mean": 2.861391299632611,
-            "kappa_max": 3.11371689033035,
+            "kappa_min": 2.7042829513093736,
+            "kappa_mean": 2.861391299632595,
+            "kappa_max": 3.1137168903301014,
         },
     ),
     "random_sigma_convex": (
@@ -138,9 +138,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 10.5,
             "iter_max": 11.0,
-            "kappa_min": 2.6405091305065453,
-            "kappa_mean": 2.7106302249558434,
-            "kappa_max": 2.780751319405141,
+            "kappa_min": 2.6405091305065884,
+            "kappa_mean": 2.7106302249558967,
+            "kappa_max": 2.780751319405205,
         },
     ),
 }

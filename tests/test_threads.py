@@ -11,6 +11,7 @@ import pytest
 from emibddc import _threads
 from emibddc.assembly import ModelParams
 from emibddc.errors import FactorizationError
+from emibddc.femspace import DofMap
 from emibddc.geometry import MeshConfig
 from emibddc.harness import build_problem, make_preconditioner, random_rhs, solve_interface
 from emibddc.schur import SchurSystem
@@ -125,14 +126,16 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     monkeypatch.setattr(schur, "_groups", _two_groups(schur))
     monkeypatch.setattr(precond, "_groups", _two_groups(precond))
 
-    public, private = [], []
+    public, private, corrections = [], [], []
     for cls, name, log in (
         (SPDSolver, "solve", public),
         (ConstrainedSolver, "solve", public),
         (SchurSystem, "apply", public),
         (SchurSystem, "reduce_rhs", public),
         (SchurSystem, "recover_interior", public),
+        (DofMap, "gamma_slice", public),
         (SPDSolver, "_solve", private),
+        (ConstrainedSolver, "_correct", corrections),
     ):
         def record(*args, _fn=getattr(cls, name), _log=log, **kwargs):
             _log.append(threading.current_thread() is threading.main_thread())
@@ -143,34 +146,38 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     f = random_rhs(problem_2cell, np.random.default_rng(8))
     _solve(problem_2cell, precond, f)
     assert public and all(public)
-    # the private kernels did run on a worker too
-    assert not all(private)
+    # the private kernels of both M-apply phases did run on a worker too
+    assert not all(private) and not all(corrections)
 
 
-@pytest.mark.parametrize("which", ["schur", "bddc"])
+@pytest.mark.parametrize("which", ["schur", "bddc", "bddc-coarse"])
 def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
     """A FactorizationError raised in a worker group comes out of the apply
-    as itself, and the next apply works and gives the same result."""
+    as itself, and the next apply works and gives the same result.  The
+    M-apply is hit in both of its phases: the constrained Neumann solve
+    and the coarse correction."""
     precond = make_preconditioner(problem_2cell, "vef")
+    kernel = "_solve"
     if which == "schur":
         obj = problem_2cell.schur
         target = obj.interiors[1]
     else:
         obj = precond
         target = obj.subs[1].solver
+        kernel = "_multipliers" if which == "bddc" else "_correct"
     monkeypatch.setattr(obj, "_groups", _two_groups(obj))
     v = np.random.default_rng(3).standard_normal(problem_2cell.schur.n)
     expected = obj.apply(v)
 
     threads = []
 
-    def broken(rhs):
+    def broken(*args):
         threads.append(threading.current_thread() is threading.main_thread())
         raise FactorizationError("injected failure")
 
-    target._solve = broken
+    setattr(target, kernel, broken)
     with pytest.raises(FactorizationError, match="injected failure"):
         obj.apply(v)
     assert threads == [False]
-    del target._solve
+    delattr(target, kernel)
     assert np.array_equal(obj.apply(v), expected)

@@ -23,7 +23,9 @@ coupling M, and every substructure's ``local_to_global`` and local
 operator matrix, the interface operator applied to a seeded vector, and
 the reduced load and the recovered solution for a seeded compatible
 load; per primal space the preconditioner applied to the same vector,
-every substructure's ``psi_gamma`` and the coarse matrix.  A stage that
+every substructure's ``Q = H^{-1} [I_m; 0]`` (its multiplier system
+solved for unit targets, whose leading rows are its block of the coarse
+matrix) and the coarse matrix.  A stage that
 raises prints the error's type and message instead.  The package is
 imported from ``src/`` next to this directory.
 """
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
                 continue
             out.hashed(f"{tag} bddc_apply", lambda: (pc.apply(v),))
             for ss in pc.subs:
-                out.hashed(f"{tag} psi_gamma[{ss.sub}]", lambda: (ss.psi_gamma,))
+                out.hashed(f"{tag} Q[{ss.sub}]", lambda: (ss.solver.q,))
             out.hashed(f"{tag} coarse_matrix", lambda: (pc._s_pp,))
     return 0
 
