@@ -176,17 +176,18 @@ class BddcPreconditioner:
                 b[ss.n_interior:] = r_bro[ss.gamma]
                 z_bro[ss.gamma], lam[k] = ss.solver._multipliers(b)
 
-        def coarse(group):
-            for k in group:
-                ss = self.subs[k]
-                ss.solver._correct(z_bro[ss.gamma], lam[k], z_pi[ss.class_ids])
-
         run_groups(dual, self._groups)
         # summed here, in substructure order, so no sum depends on the groups
         rho = np.zeros(self.coarse_dim)
         for ss, part in zip(self.subs, lam):
             rho[ss.class_ids] += part[: len(ss.class_ids)]
         z_pi = self._coarse_solve(rho)
+
+        def coarse(group):
+            for k in group:
+                ss = self.subs[k]
+                ss.solver._correct(z_bro[ss.gamma], lam[k], z_pi[ss.class_ids])
+
         run_groups(coarse, self._groups)
         return np.bincount(
             dm.bro_gamma, weights=self.delta * z_bro, minlength=dm.n_gamma
