@@ -7,8 +7,8 @@ Subcommands
 ``emibddc experiment``  run a named study and optionally write its CSV
 
 Configuration is a JSON file mirroring :class:`~emibddc.harness.ExperimentConfig`
-(keys ``experiment, mesh.*, params.*, variants, tol, stop, maxiter,
-sample_count, seed, rhs, grids, levels, out``), with ``--set path=value``
+(keys ``experiment, mesh.*, params.*, variants, tol, maxiter,
+sample_count, seed, grids, levels, out``), with ``--set path=value``
 overrides applied on top.  Exit codes: 0 success, 1 failed check or solver
 error, 2 usage/configuration error.
 """

@@ -213,7 +213,6 @@ class PrimalClass:
     """A shared coarse unknown: the values of all its rows must coincide."""
 
     kind: str           # "vertex" | "edge" | "face"
-    side: int           # substructure whose trace is averaged / identified
     entity: tuple       # (node,) or junction subs or face pair
     rows: tuple         # ConstraintRow per holder
 
@@ -222,7 +221,6 @@ class PrimalClass:
 class ConstraintSet:
     variant: PrimalVariant
     classes: tuple
-    n_substructures: int
 
     @property
     def coarse_dim(self) -> int:
@@ -274,9 +272,7 @@ def build_primal_constraints(
         for side in topo.node_subs(x):
             rows = _class_rows(dofmap, int(side), topo.node_subs(x), node, one)
             if len(rows) >= 2:
-                classes.append(
-                    PrimalClass(kind="vertex", side=int(side), entity=(x,), rows=tuple(rows))
-                )
+                classes.append(PrimalClass(kind="vertex", entity=(x,), rows=tuple(rows)))
 
     for je in topo.junctions:
         keep = ~np.isin(je.nodes, np.fromiter(vertex_set, np.int64, len(vertex_set)))
@@ -290,9 +286,7 @@ def build_primal_constraints(
         w = w / total
         for side in je.subs:
             rows = _class_rows(dofmap, side, je.subs, nodes, w)
-            classes.append(
-                PrimalClass(kind="edge", side=side, entity=je.subs, rows=tuple(rows))
-            )
+            classes.append(PrimalClass(kind="edge", entity=je.subs, rows=tuple(rows)))
 
     if variant == PrimalVariant.VEF:
         for fg in topo.faces:
@@ -304,11 +298,7 @@ def build_primal_constraints(
             for side, other in ((fg.sub_i, fg.sub_j), (fg.sub_j, fg.sub_i)):
                 rows = _class_rows(dofmap, side, (other,), fg.nodes, w)
                 classes.append(
-                    PrimalClass(
-                        kind="face", side=side, entity=(fg.sub_i, fg.sub_j), rows=tuple(rows)
-                    )
+                    PrimalClass(kind="face", entity=(fg.sub_i, fg.sub_j), rows=tuple(rows))
                 )
 
-    return ConstraintSet(
-        variant=variant, classes=tuple(classes), n_substructures=dofmap.n_substructures
-    )
+    return ConstraintSet(variant=variant, classes=tuple(classes))

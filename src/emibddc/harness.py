@@ -54,19 +54,6 @@ __all__ = [
     "write_csv",
 ]
 
-CSV_HEADER = (
-    "cells",
-    "subdomains",
-    "global_dofs",
-    "primal_space",
-    "iterations",
-    "kappa_est",
-    "coarse_dim",
-    "solve_ms",
-    "seed",
-    "sigma_summary",
-)
-
 WEAK_SCALING_GRIDS = ((2, 2, 1), (2, 2, 2), (3, 3, 2), (3, 3, 3))
 REFINEMENT_LEVELS = (0, 1, 2, 3)
 
@@ -97,11 +84,9 @@ class ExperimentConfig:
     params: ModelParams = ModelParams()
     variants: tuple = ("vef", "ve")
     tol: float = 1e-6
-    stop: str = "rel"
     maxiter: int = 500
     sample_count: int = 100
     seed: int = 2026
-    rhs: str = "random"
     grids: tuple = WEAK_SCALING_GRIDS
     levels: tuple = REFINEMENT_LEVELS
     out: str = ""
@@ -116,8 +101,6 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be a finite number > 0, got {self.tol!r}")
         if not _is_int(self.maxiter) or self.maxiter < 1:
             raise ConfigError(f"maxiter must be an integer >= 1, got {self.maxiter!r}")
-        if self.stop not in ("rel", "abs"):
-            raise ConfigError(f"stop must be 'rel' or 'abs', got {self.stop!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not _is_int(self.sample_count) or self.sample_count < 1:
@@ -126,14 +109,14 @@ class ExperimentConfig:
             )
         if not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if self.out and self.experiment == "verify":
+            raise ConfigError(f"verify writes no CSV, so out must be empty, got {self.out!r}")
         if self.out:
             # checked here so that a bad path fails before the study runs
             if os.path.isdir(self.out):
                 raise ConfigError(f"out '{self.out}' is a directory, not a file path")
             if not os.path.isdir(os.path.dirname(self.out) or "."):
                 raise ConfigError(f"the directory of out '{self.out}' does not exist")
-        if self.rhs not in ("random", "imex"):
-            raise ConfigError(f"unknown rhs kind '{self.rhs}'")
         if not self.variants:
             raise ConfigError("at least one primal variant is required")
         for v in self.variants:
@@ -145,10 +128,16 @@ class ExperimentConfig:
             meshes = self.study_meshes()
         except (MeshError, TypeError, ValueError) as exc:
             raise ConfigError(f"{self.experiment} study: {exc}") from None
-        # random_sigma draws its own conductivities; elsewhere the override
-        # must give one value per region of every mesh of the study
+        # random_sigma draws the cell conductivities itself, so an override
+        # would be ignored; elsewhere it must give one value per region of
+        # every mesh of the study
         sigma = self.params.sigma
-        if sigma is not None and self.experiment != "random_sigma":
+        if sigma is not None and self.experiment == "random_sigma":
+            raise ConfigError(
+                "random_sigma draws every cell's conductivity, so params.sigma "
+                "must be unset; the bath takes params.sigma_extra"
+            )
+        if sigma is not None:
             for mesh in meshes:
                 if len(sigma) != mesh.n_regions:
                     raise ConfigError(
@@ -233,6 +222,9 @@ class ResultRow:
         )
 
 
+CSV_HEADER = tuple(f.name for f in dataclasses.fields(ResultRow))
+
+
 @dataclasses.dataclass
 class Problem:
     """Assembled and condensed system, ready for preconditioning."""
@@ -249,10 +241,6 @@ class Problem:
     def cells_label(self) -> str:
         c = self.config
         return f"{c.cells_x}x{c.cells_y}x{c.cells_z}"
-
-    def kernel_vector(self) -> np.ndarray:
-        g = np.ones(self.dofmap.n_gamma)
-        return g / np.linalg.norm(g)
 
     def sigma_summary(self) -> str:
         sig = self.operators.sigma  # per region
@@ -301,22 +289,17 @@ def random_rhs(problem: Problem, rng) -> np.ndarray:
     return project_compatible(rng.uniform(-1.0, 1.0, problem.dofmap.n_global))
 
 
-def solve_interface(problem, precond, f, *, tol, stop, maxiter):
-    """Reduce, run preconditioned CG on the interface, recover interiors."""
-    f_gamma = problem.schur.reduce_rhs(f)
-    g = problem.kernel_vector()
-
-    def proj(v):
-        return v - g * (g @ v)
-
+def solve_interface(problem, precond, f, *, tol, maxiter):
+    """Reduce, run preconditioned CG on the interface to the relative
+    residual ``tol``, recover interiors.  The constant kernel is projected
+    out by mean removal."""
     x_gamma, report = pcg(
         problem.schur.apply,
-        proj(f_gamma),
+        problem.schur.reduce_rhs(f),
         precond.apply,
         tol=tol,
-        stop=stop,
         maxiter=maxiter,
-        project=proj,
+        project=project_compatible,
     )
     u = problem.schur.recover_interior(x_gamma, f)
     return u, report
@@ -324,9 +307,7 @@ def solve_interface(problem, precond, f, *, tol, stop, maxiter):
 
 def _solve_row(problem, precond, f, config, variant) -> ResultRow:
     t0 = time.perf_counter()
-    _, report = solve_interface(
-        problem, precond, f, tol=config.tol, stop=config.stop, maxiter=config.maxiter
-    )
+    _, report = solve_interface(problem, precond, f, tol=config.tol, maxiter=config.maxiter)
     ms = (time.perf_counter() - t0) * 1e3
     if not report.converged:
         raise SolverError(
@@ -367,12 +348,8 @@ def _operators(config: ExperimentConfig):
     for mesh_cfg in config.study_meshes():
         problem = build_problem(mesh_cfg, config.params)
         rng = np.random.default_rng(config.seed)
-        if config.experiment == "random_rhs":
-            yield problem, [random_rhs(problem, rng) for _ in range(config.sample_count)]
-        elif config.rhs == "imex":
-            yield problem, [imex_rhs(problem)]
-        else:
-            yield problem, [random_rhs(problem, rng)]
+        n_loads = config.sample_count if config.experiment == "random_rhs" else 1
+        yield problem, [random_rhs(problem, rng) for _ in range(n_loads)]
 
 
 def polylog_model(kappa0: float, hh0: float, hh: float) -> float:
@@ -441,15 +418,10 @@ def run_verify(config: ExperimentConfig):
         m_dense = denseref.dense_bddc_matrix(
             dm, cset, problem.operators.local_ops, problem.operators.sigma
         )
-        g = problem.kernel_vector()
-
-        def proj(v):
-            return v - g * (g @ v)
-
         # (a) operator application vs dense matrix
-        r = proj(rng.standard_normal(dm.n_gamma))
-        za = proj(precond.apply(r))
-        zb = proj(m_dense @ r)
+        r = project_compatible(rng.standard_normal(dm.n_gamma))
+        za = project_compatible(precond.apply(r))
+        zb = project_compatible(m_dense @ r)
         rel_a = np.linalg.norm(za - zb) / np.linalg.norm(zb)
         if not rel_a <= 1e-9:
             raise VerificationError(
@@ -464,9 +436,7 @@ def run_verify(config: ExperimentConfig):
             )
         # (c) Lanczos estimate vs dense condition number
         f = random_rhs(problem, rng)
-        u, rep = solve_interface(
-            problem, precond, f, tol=1e-10, stop="rel", maxiter=config.maxiter
-        )
+        u, rep = solve_interface(problem, precond, f, tol=1e-10, maxiter=config.maxiter)
         dense_kappa = lam_max / lam_min
         if not abs(rep.kappa_est - dense_kappa) <= 0.15 * dense_kappa:
             raise VerificationError(

@@ -35,7 +35,6 @@ class SolveReport:
     residuals: tuple
     rhs_norm: float
     tol: float
-    stop: str  # "rel" or "abs"
 
     def __str__(self):
         state = "converged" if self.converged else "NOT converged"
@@ -71,7 +70,6 @@ def pcg(
     *,
     tol=1e-8,
     maxiter=500,
-    stop="rel",
     project=None,
 ):
     """Solve A x = b from the zero start; returns ``(x, SolveReport)``.
@@ -79,11 +77,9 @@ def pcg(
     ``apply_m`` defaults to the identity.  ``project`` (if given) is applied
     to the right-hand side and after every operator and preconditioner
     application, keeping the iteration in the kernel complement of a
-    semidefinite A.  ``stop`` selects the residual test: Euclidean norm
-    relative to the right-hand side, or absolute.
+    semidefinite A.  The iteration stops once the Euclidean norm of the
+    residual is at most ``tol`` times that of the right-hand side.
     """
-    if stop not in ("rel", "abs"):
-        raise SolverError(f"unknown stopping mode {stop!r}")
     if maxiter < 1:
         raise SolverError("maxiter must be at least 1")
 
@@ -91,14 +87,14 @@ def pcg(
     if project is not None:
         b = project(b)
     b_norm = float(np.linalg.norm(b))
-    threshold = tol * b_norm if stop == "rel" else tol
+    threshold = tol * b_norm
 
     x = np.zeros_like(b)
     if b_norm == 0.0:
         return x, SolveReport(
             iterations=0, converged=True, kappa_est=1.0,
             lambda_min=np.nan, lambda_max=np.nan, residuals=(0.0,),
-            rhs_norm=0.0, tol=tol, stop=stop,
+            rhs_norm=0.0, tol=tol,
         )
 
     r = b.copy()
@@ -156,5 +152,4 @@ def pcg(
         residuals=tuple(residuals),
         rhs_norm=b_norm,
         tol=tol,
-        stop=stop,
     )

@@ -127,18 +127,11 @@ class SchurSystem:
 
         Trace-copy rows of the interior coupling are structurally zero (the
         copies enter only through interface mass), so scattering the whole
-        local correction is the exact assembled reduction.  The corrections
-        are subtracted one substructure at a time, in order: subtracting
-        their sum instead would round differently.
+        local correction is the exact assembled reduction.
         """
         dm = self.dofmap
-        out = f[dm.gamma_global].copy()
         corr = self.k_gi @ self._solve_interiors(f[self.interior_ids])
-        for i, factor in enumerate(self.interiors):
-            if factor is not None:
-                sl = dm.gamma_slice(i)
-                out -= np.bincount(dm.bro_gamma[sl], weights=corr[sl], minlength=dm.n_gamma)
-        return out
+        return f[dm.gamma_global] - np.bincount(dm.bro_gamma, weights=corr, minlength=dm.n_gamma)
 
     def recover_interior(self, u_gamma: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Full assembled solution from interface values and the original rhs."""

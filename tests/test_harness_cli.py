@@ -101,9 +101,6 @@ def test_result_row_formatting():
 def test_problem_helpers(problem_2cell):
     assert problem_2cell.cells_label == "2x1x1"
     assert problem_2cell.sigma_summary() == "extra=20|intra_min=3|intra_max=3"
-    g = problem_2cell.kernel_vector()
-    npt.assert_allclose(np.linalg.norm(g), 1.0, rtol=1e-14)
-    assert np.ptp(g) == 0.0  # constant direction
 
 
 def test_random_rhs_is_compatible_and_seeded(problem_1cell):
@@ -292,7 +289,10 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "--set", "mesh.cells_x=2", "--set", "stop=bogus"], "stop must be"),
+        (
+            ["solve", "--set", "mesh.cells_x=2", "--set", "stop=bogus"],
+            "unknown key(s) under 'config': stop",
+        ),
         (["solve", "--set", "mesh.cells_x=2", "--set", "seed=-1"], "seed must be"),
         (["solve", "--set", "mesh.cells_x=2", "--set", "seed=1.5"], "seed must be"),
         (["solve", "--set", "mesh.cells_x=0"], "cells_x must be"),
@@ -341,12 +341,28 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
             "the directory of out 'missing/x.csv' does not exist",
         ),
         (["mesh", "--out", "missing/m.vtk"], "does not exist"),
+        (
+            ["solve", "--set", "mesh.cells_x=2", "--set", "rhs=imex"],
+            "unknown key(s) under 'config': rhs",
+        ),
+        (
+            [
+                "experiment", "random-sigma", "--set", "mesh.cells_x=2",
+                "--set", "params.sigma=[1,2,3]",
+            ],
+            "params.sigma_extra",
+        ),
+        (
+            ["experiment", "verify", "--set", "mesh.cells_x=2", "--out", "v.csv"],
+            "verify writes no CSV",
+        ),
     ],
 )
 def test_cli_bad_config_exits_two(argv, message, capsys, tmp_path, monkeypatch):
-    """Bad stopping modes, seeds, meshes, model parameters, mistyped values,
-    unreadable config files and unwritable output paths are configuration
-    errors, caught before any mesh is built."""
+    """Unknown keys, bad seeds, meshes, model parameters, mistyped values,
+    settings a study ignores, unreadable config files and unwritable or
+    unused output paths are configuration errors, caught before any mesh
+    is built."""
     monkeypatch.chdir(tmp_path)
 
     def no_mesh(*args, **kwargs):

@@ -5,8 +5,8 @@ import pytest
 from emibddc import denseref
 from emibddc.assembly import ModelParams, assemble_system
 from emibddc.femspace import build_composite_space
-from emibddc.geometry import MeshConfig
-from emibddc.harness import build_problem
+from emibddc.geometry import MeshConfig, extract_interfaces
+from emibddc.harness import Problem, build_problem
 from emibddc.schur import condense
 
 
@@ -16,14 +16,27 @@ def small(problem_1cell):
     return problem_1cell
 
 
-def test_apply_matches_dense_oracle(small):
-    s_dense = denseref.dense_assembled_schur(small.dofmap, small.operators.local_ops)
-    n = small.schur.n
-    assert s_dense.shape == (n, n)
-    rng = np.random.default_rng(10)
-    for _ in range(5):
-        v = rng.standard_normal(n)
-        npt.assert_allclose(small.schur.apply(v), s_dense @ v, atol=1e-10 * n)
+@pytest.fixture(scope="module")
+def split(split_bath):
+    """Interface system of the two-cell row with its bath cut in two: two
+    substructures of one region then share assembled interface unknowns."""
+    _, mesh = split_bath
+    params = ModelParams()
+    topo = extract_interfaces(mesh)
+    dm = build_composite_space(mesh, topo)
+    ops = assemble_system(mesh, topo, dm, params)
+    return Problem(mesh.config, params, mesh, topo, dm, ops, condense(dm, ops.local_ops))
+
+
+def test_apply_matches_dense_oracle(small, split):
+    for problem in (small, split):
+        s_dense = denseref.dense_assembled_schur(problem.dofmap, problem.operators.local_ops)
+        n = problem.schur.n
+        assert s_dense.shape == (n, n)
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            v = rng.standard_normal(n)
+            npt.assert_allclose(problem.schur.apply(v), s_dense @ v, atol=1e-10 * n)
 
 
 def test_schur_symmetric_psd_with_constant_kernel(small):
@@ -79,24 +92,25 @@ def test_harmonic_extension_interior_residual_vanishes(small):
     npt.assert_allclose(res, 0.0, atol=1e-11)
 
 
-def test_reduce_recover_roundtrip(small):
+def test_reduce_recover_roundtrip(small, split):
     """Condensation + back substitution reproduces the direct solution."""
-    rng = np.random.default_rng(14)
-    k = small.operators.matrix.toarray()
-    n = k.shape[0]
-    f = rng.standard_normal(n)
-    f -= f.mean()  # compatible load
-    # direct: solve in the orthogonal complement of the constant
-    u_direct = np.linalg.lstsq(k, f, rcond=None)[0]
-    u_direct -= u_direct.mean()
+    for problem in (small, split):
+        rng = np.random.default_rng(14)
+        k = problem.operators.matrix.toarray()
+        n = k.shape[0]
+        f = rng.standard_normal(n)
+        f -= f.mean()  # compatible load
+        # direct: solve in the orthogonal complement of the constant
+        u_direct = np.linalg.lstsq(k, f, rcond=None)[0]
+        u_direct -= u_direct.mean()
 
-    sch = small.schur
-    s = denseref.dense_assembled_schur(small.dofmap, small.operators.local_ops)
-    g = sch.reduce_rhs(f)
-    u_gamma = np.linalg.lstsq(s, g, rcond=None)[0]
-    u = sch.recover_interior(u_gamma, f)
-    u -= u.mean()
-    npt.assert_allclose(u, u_direct, atol=1e-8 * np.linalg.norm(u_direct))
+        sch = problem.schur
+        s = denseref.dense_assembled_schur(problem.dofmap, problem.operators.local_ops)
+        g = sch.reduce_rhs(f)
+        u_gamma = np.linalg.lstsq(s, g, rcond=None)[0]
+        u = sch.recover_interior(u_gamma, f)
+        u -= u.mean()
+        npt.assert_allclose(u, u_direct, atol=1e-8 * np.linalg.norm(u_direct))
 
 
 def test_zero_maps_to_zero(small):

@@ -15,7 +15,6 @@ SIGMA_REST = "extra=20|intra_min=3|intra_max=3"
 
 CASES = {
     "solve_random": {"experiment": "solve"},
-    "solve_imex": {"experiment": "solve", "rhs": "imex"},
     "weak_scaling": {"experiment": "weak_scaling", "grids": [[2, 1, 1], [2, 2, 1]]},
     "refinement": {"experiment": "refinement", "levels": [0, 1]},
     "random_rhs": {"experiment": "random_rhs", "sample_count": 3},
@@ -33,13 +32,6 @@ GOLDEN = {
         [
             "2x1x1,3,362,vef,13,4.750045197,9,-,2026," + SIGMA_REST,
             "2x1x1,3,362,ve,13,4.748551126,3,-,2026," + SIGMA_REST,
-        ],
-        None,
-    ),
-    "solve_imex": (
-        [
-            "2x1x1,3,362,vef,0,1,9,-,2026," + SIGMA_REST,
-            "2x1x1,3,362,ve,0,1,3,-,2026," + SIGMA_REST,
         ],
         None,
     ),
@@ -64,29 +56,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.750045197188927,
-                "polylog_model": 4.750045197188927,
+                "kappa_est": 4.7500451971889905,
+                "polylog_model": 4.7500451971889905,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.748551125993225,
-                "polylog_model": 4.748551125993225,
+                "kappa_est": 4.748551125995394,
+                "polylog_model": 4.748551125995394,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
-                "kappa_est": 4.992188575565364,
-                "polylog_model": 7.910312489564136,
+                "kappa_est": 4.992188575565414,
+                "polylog_model": 7.910312489564244,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
                 "kappa_est": 4.990672350718383,
-                "polylog_model": 7.907824393230516,
+                "polylog_model": 7.907824393234128,
             },
         ],
     ),
@@ -104,9 +96,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.732510532569744,
-            "kappa_mean": 4.7417631575720005,
-            "kappa_max": 4.750045197188927,
+            "kappa_min": 4.732510532570188,
+            "kappa_mean": 4.741763157572598,
+            "kappa_max": 4.7500451971889905,
         },
     ),
     "random_sigma": (
@@ -123,9 +115,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.7042829513093736,
-            "kappa_mean": 2.861391299632595,
-            "kappa_max": 3.1137168903301014,
+            "kappa_min": 2.7042829513094557,
+            "kappa_mean": 2.8613912996324498,
+            "kappa_max": 3.113716890329754,
         },
     ),
     "random_sigma_convex": (
@@ -138,9 +130,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 10.5,
             "iter_max": 11.0,
-            "kappa_min": 2.6405091305065884,
-            "kappa_mean": 2.7106302249558967,
-            "kappa_max": 2.780751319405205,
+            "kappa_min": 2.640509130506588,
+            "kappa_mean": 2.710630224955902,
+            "kappa_max": 2.7807513194052156,
         },
     ),
 }

@@ -27,7 +27,7 @@ def grid_problem(request):
 
 
 def _solve(problem, precond, f):
-    return solve_interface(problem, precond, f, tol=1e-8, stop="rel", maxiter=200)
+    return solve_interface(problem, precond, f, tol=1e-8, maxiter=200)
 
 
 def _two_groups(obj):

@@ -25,7 +25,9 @@ the reduced load and the recovered solution for a seeded compatible
 load; per primal space the preconditioner applied to the same vector,
 every substructure's ``Q = H^{-1} [I_m; 0]`` (its multiplier system
 solved for unit targets, whose leading rows are its block of the coarse
-matrix) and the coarse matrix.  A stage that
+matrix), the coarse matrix, and one ``solve_interface`` of the seeded
+load at the studies' default ``tol`` and ``maxiter`` (the recovered
+solution, the iteration count and the kappa estimate).  A stage that
 raises prints the error's type and message instead.  The package is
 imported from ``src/`` next to this directory.
 """
@@ -48,9 +50,16 @@ import numpy as np  # noqa: E402
 from bench import WORKLOADS  # noqa: E402
 from emibddc.assembly import ModelParams  # noqa: E402
 from emibddc.geometry import MeshConfig  # noqa: E402
-from emibddc.harness import build_problem, make_preconditioner, random_rhs  # noqa: E402
+from emibddc.harness import (  # noqa: E402
+    ExperimentConfig,
+    build_problem,
+    make_preconditioner,
+    random_rhs,
+    solve_interface,
+)
 
 SEED = 2026
+STUDY = ExperimentConfig()
 
 
 def digest(*arrays) -> str:
@@ -74,6 +83,12 @@ def max_rel_diff(new, old) -> float:
         scale = float(np.max(np.abs(b), initial=0.0))
         worst = max(worst, diff / scale if scale else (0.0 if diff == 0 else np.inf))
     return worst
+
+
+def solved(problem, precond, f):
+    """Recovered solution, iteration count and kappa estimate of one solve."""
+    u, report = solve_interface(problem, precond, f, tol=STUDY.tol, maxiter=STUDY.maxiter)
+    return u, np.array([report.iterations]), np.array([report.kappa_est])
 
 
 def meshes():
@@ -166,6 +181,7 @@ def main(argv=None) -> int:
             for ss in pc.subs:
                 out.hashed(f"{tag} Q[{ss.sub}]", lambda: (ss.solver.q,))
             out.hashed(f"{tag} coarse_matrix", lambda: (pc._s_pp,))
+            out.hashed(f"{tag} solve", lambda: solved(problem, pc, f))
     return 0
 
 
