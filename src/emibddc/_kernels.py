@@ -6,13 +6,21 @@ from .errors import AssemblyError
 
 HAS_NUMBA = False  # the kernels are plain numpy; kept for provenance reports
 
+# A coupling sigma*vol*(g_i . g_j) with |k_ij| <= _ORTHOGONAL * sqrt(k_ii k_jj)
+# is a dot product of orthogonal gradients: in a Kuhn path tet three of the
+# six pairs are orthogonal, and rounding leaves them at most ~3e-16 of the
+# diagonal scale, while a genuine coupling there is at least 0.5 of it.  A
+# value this small cannot be told apart from rounding, so it is snapped to 0.0.
+_ORTHOGONAL = 4096 * np.finfo(np.float64).eps    # ~9.1e-13
+
 
 def tet_stiffness_batch(coords, sigma):
     """Stiffness matrices sigma * vol * G G^T for batches of P1 tets.
 
     coords: (T, 4, 3) vertex coordinates, sigma: (T,) conductivities.
     Returns (T, 4, 4) element matrices and (T,) signed volumes; raises on
-    degenerate cells.
+    degenerate cells.  A coupling of orthogonal gradients (``|k_ij| <=
+    _ORTHOGONAL * sqrt(k_ii k_jj)``) is exactly 0.0, not a rounding residue.
     """
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     sigma = np.ascontiguousarray(sigma, dtype=np.float64)
@@ -28,6 +36,8 @@ def tet_stiffness_batch(coords, sigma):
     grads = np.concatenate([g0, g123], axis=1)       # (T, 4, 3)
     ke = np.einsum("tid,tjd->tij", grads, grads)
     ke *= (sigma * vol)[:, None, None]
+    scale = np.sqrt(np.abs(np.einsum("tii->ti", ke)))
+    ke[np.abs(ke) <= _ORTHOGONAL * scale[:, :, None] * scale[:, None, :]] = 0.0
     return ke, vol
 
 

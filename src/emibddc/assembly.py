@@ -19,6 +19,10 @@ ohmic current ``v / r_gap`` on cell-to-cell gap-junction patches.
 
 Local (per-substructure) operators use half of every interface mass block so
 that the subassembled sum over substructures reproduces the global operator.
+The stiffness kernel snaps couplings of orthogonal gradients to exactly zero,
+and every assembled matrix drops its zeros, so no operator stores an entry
+that is zero or a rounding residue of one and the sparse factors never fill
+around one.
 """
 
 from __future__ import annotations
@@ -178,7 +182,8 @@ def assemble_system(
         )
 
     def assembled(target, n):
-        """The summed matrix of target; its entries are released."""
+        """The summed matrix of target, with no stored zeros; its entries
+        are released."""
         if target not in entries:
             return sp.csr_matrix((n, n))
         rows, cols, vals = (np.concatenate(a) for a in zip(*entries.pop(target)))
@@ -186,6 +191,7 @@ def assemble_system(
         del rows, cols, vals  # drop the 64-bit inputs before tocsr, the memory peak
         mat = mat.tocsr()
         mat.sum_duplicates()
+        mat.eliminate_zeros()
         return mat
 
     # conduction stiffness, one decoupled block per region

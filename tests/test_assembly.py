@@ -17,7 +17,14 @@ from emibddc.assembly import (
 )
 from emibddc.errors import AssemblyError
 from emibddc.femspace import build_composite_space
-from emibddc.geometry import BATH, MeshConfig, build_mesh, extract_interfaces
+from emibddc.geometry import (
+    _CORNERS,
+    _KUHN,
+    BATH,
+    MeshConfig,
+    build_mesh,
+    extract_interfaces,
+)
 
 
 UNIT_TET = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -37,9 +44,11 @@ def test_reference_tet_stiffness():
     )
     npt.assert_allclose(ke[0], expected, atol=1e-14)
     npt.assert_allclose(vol[0], 1.0 / 6.0, rtol=1e-14)
+    assert np.all(ke[0][expected == 0.0] == 0.0)
     # conductivity scales the block linearly
     ke5, _ = _kernels.tet_stiffness_batch(UNIT_TET[None, :, :], np.array([5.0]))
     npt.assert_allclose(ke5[0], 5.0 * expected, atol=1e-13)
+    assert np.all(ke5[0][expected == 0.0] == 0.0)
 
 
 def test_reference_tri_mass():
@@ -60,8 +69,9 @@ def test_kernel_scaling_laws():
     npt.assert_allclose(me2, 4.0 * me1, atol=1e-13)
 
 
-def test_element_kernel_identities():
-    """Random elements against identities that hold for exact P1 matrices."""
+def random_elements():
+    """64 generic tets, 64 triangles and conductivities, and the generator
+    that drew them."""
     rng = np.random.default_rng(42)
     tets = rng.random((64, 4, 3))
     tets[:, 3, 2] += 1.0
@@ -69,7 +79,12 @@ def test_element_kernel_identities():
     tris[:, 1, 0] += 1.0
     tris[:, 2, 1] += 1.0
     sigma = rng.uniform(0.5, 5.0, 64)
+    return rng, tets, tris, sigma
 
+
+def test_element_kernel_identities():
+    """Random elements against identities that hold for exact P1 matrices."""
+    rng, tets, tris, sigma = random_elements()
     ke, vol = _kernels.tet_stiffness_batch(tets, sigma)
     e = tets[:, 1:] - tets[:, :1]
     vol_ref = np.einsum("td,td->t", np.cross(e[:, 0], e[:, 1]), e[:, 2]) / 6.0
@@ -89,6 +104,56 @@ def test_element_kernel_identities():
     area_ref = 0.5 * np.sqrt(gram)
     npt.assert_allclose(area, area_ref, rtol=1e-12)
     npt.assert_allclose(me.sum(axis=(1, 2)), area_ref, rtol=1e-12)  # 1^T M 1
+
+
+def reference_stiffness(coords, sigma):
+    """sigma * vol * G G^T with the gradients G solved from the 4x4
+    barycentric system [1 x_v] C = I, independent of the kernel."""
+    b = np.concatenate([np.ones(coords.shape[:2] + (1,)), coords], axis=2)
+    grads = np.transpose(np.linalg.solve(b, np.eye(4))[:, 1:, :], (0, 2, 1))
+    vol = np.linalg.det(b) / 6.0
+    return (sigma * vol)[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+
+
+def assert_matches_reference(ke, ref):
+    """Every entry within 1e-13 of its diagonal scale sqrt(|r_ii r_jj|)."""
+    d = np.sqrt(np.abs(np.einsum("tii->ti", ref)))
+    assert np.all(np.abs(ke - ref) <= 1e-13 * d[:, :, None] * d[:, None, :])
+
+
+def test_kuhn_path_tet_orthogonal_pairs_are_exact_zeros():
+    """In a Kuhn path tet x0 -> x0+e_a -> x0+e_a+e_b -> x0+1 the gradients
+    of barycentric coordinates two or more steps apart on the path are
+    orthogonal, so the three non-path couplings are exactly 0.0.  The voxel
+    sits off the origin at the H/h 12 spacing of a 0.1 mm cell, where the
+    rounded product leaves residues in some of those pairs."""
+    coords = (np.array([7, 2, 9]) + _CORNERS[_KUHN]) * (0.01 / 12)
+    ke, _ = _kernels.tet_stiffness_batch(coords, np.full(6, 3.0))
+    path = np.argsort(_CORNERS[_KUHN].sum(axis=2), axis=1)  # vertex order along the path
+    pairs = [(0, 2), (0, 3), (1, 3)]
+    rows = np.array([[p[a] for a, _ in pairs] for p in path])
+    cols = np.array([[p[b] for _, b in pairs] for p in path])
+    tet = np.arange(6)[:, None]
+    assert np.all(ke[tet, rows, cols] == 0.0)
+    assert np.all(ke[tet, cols, rows] == 0.0)
+    assert np.any(reference_stiffness(coords, np.full(6, 3.0))[tet, rows, cols] != 0.0)
+    assert np.count_nonzero(ke) == 6 * 10  # diagonal and path pairs are kept
+
+
+def test_snap_keeps_genuine_couplings(patch_mesh):
+    """On generic tets (the random ones and the red-refined patch mesh) the
+    kernel zeroes nothing and agrees with an independent G G^T to 1e-13 of
+    the diagonal scale."""
+    _, tets, _, sigma = random_elements()
+    ke, _ = _kernels.tet_stiffness_batch(tets, sigma)
+    assert_matches_reference(ke, reference_stiffness(tets, sigma))
+    assert np.all(ke != 0.0)
+
+    coords = patch_mesh.vertices[patch_mesh.tets]
+    sigma = np.linspace(1.0, 20.0, len(coords))
+    ke, _ = _kernels.tet_stiffness_batch(coords, sigma)
+    assert_matches_reference(ke, reference_stiffness(coords, sigma))
+    assert np.all(ke != 0.0)
 
 
 def test_degenerate_elements_rejected():
@@ -153,6 +218,19 @@ def test_timestep_linearity(problem_2cell):
     ops2 = assemble_system(mesh, topo, dofmap, p2)
     diff = (ops2.matrix - ops1.matrix).toarray()
     npt.assert_allclose(diff, 0.01 * ops1.stiffness.toarray(), atol=1e-15, rtol=0)
+
+
+def test_local_operators_store_no_zeros():
+    """No local operator of the 2x2x1 grid stores an entry with
+    |a_ij| <= 1e-10 sqrt(|a_ii a_jj|): neither an explicit zero nor a
+    rounding residue of a coupling that is zero in exact arithmetic."""
+    mesh = build_mesh(MeshConfig(cells_x=2, cells_y=2))
+    topo = extract_interfaces(mesh)
+    ops = assemble_system(mesh, topo, build_composite_space(mesh, topo), ModelParams())
+    for lo in ops.local_ops:
+        a = lo.matrix.tocoo()
+        d = np.abs(lo.matrix.diagonal())
+        assert np.all(np.abs(a.data) > 1e-10 * np.sqrt(d[a.row] * d[a.col])), lo.sub
 
 
 def test_local_splitting_reassembles_global(problem_2cell):

@@ -56,29 +56,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.7500451971889905,
-                "polylog_model": 4.7500451971889905,
+                "kappa_est": 4.750045197189106,
+                "polylog_model": 4.750045197189106,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.748551125995394,
-                "polylog_model": 4.748551125995394,
+                "kappa_est": 4.748551125994877,
+                "polylog_model": 4.748551125994877,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
-                "kappa_est": 4.992188575565414,
-                "polylog_model": 7.910312489564244,
+                "kappa_est": 4.992188575565279,
+                "polylog_model": 7.9103124895644354,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
-                "kappa_est": 4.990672350718383,
-                "polylog_model": 7.907824393234128,
+                "kappa_est": 4.99067235071838,
+                "polylog_model": 7.907824393233268,
             },
         ],
     ),
@@ -96,9 +96,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.732510532570188,
-            "kappa_mean": 4.741763157572598,
-            "kappa_max": 4.7500451971889905,
+            "kappa_min": 4.732510532570666,
+            "kappa_mean": 4.741763157572586,
+            "kappa_max": 4.750045197189106,
         },
     ),
     "random_sigma": (
@@ -115,9 +115,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.7042829513094557,
-            "kappa_mean": 2.8613912996324498,
-            "kappa_max": 3.113716890329754,
+            "kappa_min": 2.704282951309202,
+            "kappa_mean": 2.8613912996325825,
+            "kappa_max": 3.1137168903301657,
         },
     ),
     "random_sigma_convex": (
@@ -130,9 +130,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 10.5,
             "iter_max": 11.0,
-            "kappa_min": 2.640509130506588,
-            "kappa_mean": 2.710630224955902,
-            "kappa_max": 2.7807513194052156,
+            "kappa_min": 2.6405091305066146,
+            "kappa_mean": 2.710630224955908,
+            "kappa_max": 2.7807513194052014,
         },
     ),
 }

@@ -13,7 +13,11 @@ array to ``DIR`` (one ``.npz`` per label), and ``--compare DIR`` on the
 commit after it appends ``max_rel_diff X`` to each hashed line.  ``X`` is
 the largest over the label's arrays of ``max|new - old| / max|old|``; an
 integer array, or one whose shape changed, counts as 0 when equal and
-``inf`` otherwise, and a label with nothing saved shows ``missing``.
+``inf`` otherwise, and a label with nothing saved shows ``missing``.  A
+sparse matrix (K, A, M and the local operators) is rebuilt from its saved
+``(indptr, indices, data)`` and ``X`` is ``max|A_new - A_old| / max|A_old|``
+over its entries, so a change of which entries are stored does not hide
+how far the values moved.
 
 The meshes are the two-cell row (2x1x1, default parameters) and the
 meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
@@ -46,6 +50,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
 
 from bench import WORKLOADS  # noqa: E402
 from emibddc.assembly import ModelParams  # noqa: E402
@@ -71,6 +76,11 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def rel_diff(diff, scale) -> float:
+    """``diff / scale``, with 0/0 read as 0 and d/0 as ``inf``."""
+    return diff / scale if scale else (0.0 if diff == 0 else np.inf)
+
+
 def max_rel_diff(new, old) -> float:
     """Largest ``max|new - old| / max|old|`` over pairs of arrays."""
     worst = 0.0
@@ -80,9 +90,17 @@ def max_rel_diff(new, old) -> float:
             worst = max(worst, 0.0 if np.array_equal(a, b) else np.inf)
             continue
         diff = float(np.max(np.abs(a - b), initial=0.0))
-        scale = float(np.max(np.abs(b), initial=0.0))
-        worst = max(worst, diff / scale if scale else (0.0 if diff == 0 else np.inf))
+        worst = max(worst, rel_diff(diff, float(np.max(np.abs(b), initial=0.0))))
     return worst
+
+
+def csr_rel_diff(new, old) -> float:
+    """``max|A_new - A_old| / max|A_old|`` of two square matrices, each given
+    as its CSR ``(indptr, indices, data)``, whatever entries each stores."""
+    a, b = (sp.csr_matrix((d, i, p), shape=(len(p) - 1,) * 2) for p, i, d in (new, old))
+    if a.shape != b.shape:
+        return np.inf
+    return rel_diff(abs(a - b).max(), abs(b).max())
 
 
 def solved(problem, precond, f):
@@ -121,8 +139,9 @@ class Reporter:
             print(f"{label} ok")
         return value
 
-    def hashed(self, label, fn):
-        """Print ``label digest`` for the arrays ``fn`` returns."""
+    def hashed(self, label, fn, compare=max_rel_diff):
+        """Print ``label digest`` for the arrays ``fn`` returns; ``compare``
+        measures them against the saved ones."""
         arrays = stage(label, fn)
         if arrays is None:
             return
@@ -135,10 +154,14 @@ class Reporter:
             if path.is_file():
                 with np.load(path) as old:
                     saved = [old[f"arr_{i}"] for i in range(len(old.files))]
-                line += f" max_rel_diff {max_rel_diff(arrays, saved):.3g}"
+                line += f" max_rel_diff {compare(arrays, saved):.3g}"
             else:
                 line += " max_rel_diff missing"
         print(line)
+
+    def matrix(self, label, m):
+        """``hashed`` for the CSR arrays of matrix ``m``, compared by value."""
+        self.hashed(label, lambda: (m.indptr, m.indices, m.data), csr_rel_diff)
 
 
 def main(argv=None) -> int:
@@ -161,10 +184,9 @@ def main(argv=None) -> int:
         out.hashed(f"{name} bro_gamma", lambda: (dm.bro_gamma,))
         out.hashed(f"{name} gamma_global", lambda: (dm.gamma_global,))
         for label, m in (("K", ops.matrix), ("stiffness", ops.stiffness), ("coupling", ops.coupling)):
-            out.hashed(f"{name} {label}", lambda: (m.indptr, m.indices, m.data))
+            out.matrix(f"{name} {label}", m)
         for lo in ops.local_ops:
-            m = lo.matrix
-            out.hashed(f"{name} local_matrix[{lo.sub}]", lambda: (m.indptr, m.indices, m.data))
+            out.matrix(f"{name} local_matrix[{lo.sub}]", lo.matrix)
             out.hashed(f"{name} local_to_global[{lo.sub}]", lambda: (dm.local_to_global[lo.sub],))
         rng = np.random.default_rng(SEED)
         v = rng.standard_normal(dm.n_gamma)
