@@ -19,10 +19,9 @@ ohmic current ``v / r_gap`` on cell-to-cell gap-junction patches.
 
 Local (per-substructure) operators use half of every interface mass block so
 that the subassembled sum over substructures reproduces the global operator.
-The stiffness kernel snaps couplings of orthogonal gradients to exactly zero,
-and every assembled matrix drops its zeros, so no operator stores an entry
-that is zero or a rounding residue of one and the sparse factors never fill
-around one.
+The stiffness kernel snaps couplings of orthogonal gradients to exactly zero
+and every assembled matrix drops its zero entries, so the local operators
+store no structural zeros for the sparse factors to order and fill around.
 """
 
 from __future__ import annotations
