@@ -15,11 +15,11 @@ _ORTHOGONAL = 4096 * np.finfo(np.float64).eps    # ~9.1e-13
 
 
 def tet_stiffness_batch(coords, sigma):
-    """Stiffness matrices sigma * vol * G G^T for batches of P1 tets.
+    """Stiffness matrices sigma * |vol| * G G^T for batches of P1 tets.
 
     coords: (T, 4, 3) vertex coordinates, sigma: (T,) conductivities.
-    Returns (T, 4, 4) element matrices and (T,) signed volumes; raises on
-    degenerate cells.  A coupling of orthogonal gradients (``|k_ij| <=
+    Returns (T, 4, 4) element matrices, the same for either orientation,
+    and (T,) signed volumes; raises on degenerate cells.  A coupling of orthogonal gradients (``|k_ij| <=
     _ORTHOGONAL * sqrt(k_ii k_jj)``) is exactly 0.0, not a rounding residue.
     """
     coords = np.ascontiguousarray(coords, dtype=np.float64)
@@ -35,7 +35,7 @@ def tet_stiffness_batch(coords, sigma):
     g0 = -g123.sum(axis=1, keepdims=True)
     grads = np.concatenate([g0, g123], axis=1)       # (T, 4, 3)
     ke = np.einsum("tid,tjd->tij", grads, grads)
-    ke *= (sigma * vol)[:, None, None]
+    ke *= (sigma * np.abs(vol))[:, None, None]
     scale = np.sqrt(np.abs(np.einsum("tii->ti", ke)))
     ke[np.abs(ke) <= _ORTHOGONAL * scale[:, :, None] * scale[:, None, :]] = 0.0
     return ke, vol

@@ -257,7 +257,7 @@ def build_problem(mesh_cfg: MeshConfig, params: ModelParams) -> Problem:
     topo = extract_interfaces(mesh)
     dofmap = build_composite_space(mesh, topo)
     operators = assemble_system(mesh, topo, dofmap, params)
-    schur = condense(dofmap, operators.local_ops)
+    schur = condense(dofmap, operators.matrix)
     return Problem(mesh_cfg, params, mesh, topo, dofmap, operators, schur)
 
 

@@ -21,6 +21,7 @@ from emibddc.geometry import (
     _CORNERS,
     _KUHN,
     BATH,
+    Mesh,
     MeshConfig,
     build_mesh,
     extract_interfaces,
@@ -92,11 +93,12 @@ def test_element_kernel_identities():
     scale = np.abs(ke).max(axis=(1, 2), keepdims=True)
     npt.assert_allclose(ke @ np.ones(4) / scale[:, :, 0], 0.0, atol=1e-12)  # constants
     npt.assert_allclose(ke, np.transpose(ke, (0, 2, 1)), rtol=0, atol=1e-12 * scale.max())
-    # a linear field u = a.x has the constant gradient a: energy sigma*vol*|a|^2
+    # a linear field u = a.x has the constant gradient a: energy
+    # sigma*|vol|*|a|^2, whatever the orientation (35 of the 64 are inverted)
     a = rng.standard_normal((64, 3))
     u = np.einsum("tvd,td->tv", tets, a)
     energy = np.einsum("ti,tij,tj->t", u, ke, u)
-    npt.assert_allclose(energy, sigma * vol_ref * (a * a).sum(axis=1), rtol=1e-10)
+    npt.assert_allclose(energy, sigma * np.abs(vol_ref) * (a * a).sum(axis=1), rtol=1e-10)
 
     me, area = _kernels.tri_mass_batch(tris)
     p, q = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
@@ -107,11 +109,11 @@ def test_element_kernel_identities():
 
 
 def reference_stiffness(coords, sigma):
-    """sigma * vol * G G^T with the gradients G solved from the 4x4
+    """sigma * |vol| * G G^T with the gradients G solved from the 4x4
     barycentric system [1 x_v] C = I, independent of the kernel."""
     b = np.concatenate([np.ones(coords.shape[:2] + (1,)), coords], axis=2)
     grads = np.transpose(np.linalg.solve(b, np.eye(4))[:, 1:, :], (0, 2, 1))
-    vol = np.linalg.det(b) / 6.0
+    vol = np.abs(np.linalg.det(b)) / 6.0
     return (sigma * vol)[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
 
 
@@ -154,6 +156,37 @@ def test_snap_keeps_genuine_couplings(patch_mesh):
     ke, _ = _kernels.tet_stiffness_batch(coords, sigma)
     assert_matches_reference(ke, reference_stiffness(coords, sigma))
     assert np.all(ke != 0.0)
+
+
+def test_inverted_tets_assemble_like_oriented(patch_mesh):
+    """P1 stiffness does not depend on orientation: the patch mesh with
+    every tet inverted assembles A, M, K and every local operator of the
+    oriented mesh, within 1e-14 of each one's largest entry, with no
+    negative diagonal."""
+    flipped = Mesh(
+        patch_mesh.config, patch_mesh.vertices, patch_mesh.tets[:, [0, 1, 3, 2]],
+        patch_mesh.tet_sub,
+    )
+    _, vol = _kernels.tet_stiffness_batch(
+        flipped.vertices[flipped.tets], np.ones(len(flipped.tets))
+    )
+    assert np.all(vol < 0)
+    built = []
+    for mesh in (patch_mesh, flipped):
+        topo = extract_interfaces(mesh)
+        dm = build_composite_space(mesh, topo)
+        built.append((dm, assemble_system(mesh, topo, dm, ModelParams())))
+    (dm, ops), (dm_flip, ops_flip) = built
+    for g, g_flip in zip(dm.local_to_global, dm_flip.local_to_global):
+        assert np.array_equal(g, g_flip)
+    pairs = [
+        (ops.stiffness, ops_flip.stiffness),
+        (ops.coupling, ops_flip.coupling),
+        (ops.matrix, ops_flip.matrix),
+    ] + [(lo.matrix, lo_flip.matrix) for lo, lo_flip in zip(ops.local_ops, ops_flip.local_ops)]
+    for a, b in pairs:
+        assert abs(b - a).max() <= 1e-14 * abs(a).max()
+        assert b.diagonal().min() >= 0.0
 
 
 def test_degenerate_elements_rejected():

@@ -252,7 +252,7 @@ def _problem_on(which, patch_mesh):
     topo = extract_interfaces(patch_mesh)
     dm = build_composite_space(patch_mesh, topo)
     ops = assemble_system(patch_mesh, topo, dm, params)
-    schur = condense(dm, ops.local_ops)
+    schur = condense(dm, ops.matrix)
     return Problem(patch_mesh.config, params, patch_mesh, topo, dm, ops, schur)
 
 

@@ -8,6 +8,7 @@ from emibddc.femspace import build_composite_space
 from emibddc.geometry import MeshConfig, extract_interfaces
 from emibddc.harness import Problem, build_problem
 from emibddc.schur import condense
+from emibddc.sparsela import SPDSolver
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ def split(split_bath):
     topo = extract_interfaces(mesh)
     dm = build_composite_space(mesh, topo)
     ops = assemble_system(mesh, topo, dm, params)
-    return Problem(mesh.config, params, mesh, topo, dm, ops, condense(dm, ops.local_ops))
+    return Problem(mesh.config, params, mesh, topo, dm, ops, condense(dm, ops.matrix))
 
 
 def test_apply_matches_dense_oracle(small, split):
@@ -135,15 +136,19 @@ def test_randomized_psd(small):
         assert v @ small.schur.apply(v) > -1e-10
 
 
-@pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
-def test_apply_equals_per_substructure_scatter(which, patch_mesh, patch_topo):
-    """The stacked products, one gather and one scatter give, bit for bit,
-    the sum of one scatter of K_gg v - K_gI K_II^{-1} K_Ig v per
-    substructure."""
+@pytest.mark.parametrize("which", ["cells_2x2x1", "patch", "split"])
+def test_apply_equals_per_substructure_scatter(which, patch_mesh, patch_topo, split):
+    """The S-apply of the assembled step matrix agrees with the sum of one
+    scatter of K_gg v - K_gI K_II^{-1} K_Ig v per substructure, built from
+    the broken local operators and their own interior factors, to 1e-13 of
+    the largest entry (the two paths sum the interface mass in different
+    orders; the largest difference seen is 1.1e-15 of it)."""
     if which == "patch":
         dm = build_composite_space(patch_mesh, patch_topo)
         ops = assemble_system(patch_mesh, patch_topo, dm, ModelParams())
-        sch = condense(dm, ops.local_ops)
+        sch = condense(dm, ops.matrix)
+    elif which == "split":
+        dm, ops, sch = split.dofmap, split.operators, split.schur
     else:
         problem = build_problem(MeshConfig(cells_x=2, cells_y=2, cells_z=1), ModelParams())
         dm, ops, sch = problem.dofmap, problem.operators, problem.schur
@@ -151,11 +156,23 @@ def test_apply_equals_per_substructure_scatter(which, patch_mesh, patch_topo):
     for _ in range(3):
         v = rng.standard_normal(dm.n_gamma)
         expected = np.zeros(dm.n_gamma)
-        for lo, factor in zip(ops.local_ops, sch.interiors):
+        for lo in ops.local_ops:
             n_i, k = lo.n_interior, lo.matrix
             ids = dm.bro_gamma[dm.gamma_slice(lo.sub)]
-            s = k[n_i:, n_i:].tocsr() @ v[ids]
-            if factor is not None:
-                s = s - k[n_i:, :n_i].tocsr() @ factor.solve(k[:n_i, n_i:].tocsr() @ v[ids])
+            s = k[n_i:, n_i:] @ v[ids]
+            if n_i:
+                s = s - k[n_i:, :n_i] @ SPDSolver(k[:n_i, :n_i]).solve(k[:n_i, n_i:] @ v[ids])
             expected += np.bincount(ids, weights=s, minlength=dm.n_gamma)
-        assert np.array_equal(sch.apply(v), expected)
+        npt.assert_allclose(sch.apply(v), expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+def test_apply_takes_a_block(split):
+    """Each column of the S-apply of an (n, 3) block is the S-apply of that
+    column, up to the last bits of SuperLU's multi-column solve."""
+    sch = split.schur
+    block = np.random.default_rng(18).standard_normal((sch.n, 3))
+    got = sch.apply(block)
+    assert got.shape == block.shape
+    for j in range(block.shape[1]):
+        expected = sch.apply(block[:, j])
+        npt.assert_allclose(got[:, j], expected, rtol=0, atol=1e-13 * np.abs(expected).max())

@@ -56,29 +56,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.750045197189106,
-                "polylog_model": 4.750045197189106,
+                "kappa_est": 4.7500451971885305,
+                "polylog_model": 4.7500451971885305,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.748551125994877,
-                "polylog_model": 4.748551125994877,
+                "kappa_est": 4.748551125994402,
+                "polylog_model": 4.748551125994402,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
                 "kappa_est": 4.992188575565279,
-                "polylog_model": 7.9103124895644354,
+                "polylog_model": 7.910312489563477,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
-                "kappa_est": 4.99067235071838,
-                "polylog_model": 7.907824393233268,
+                "kappa_est": 4.990672350718394,
+                "polylog_model": 7.9078243932324765,
             },
         ],
     ),
@@ -96,9 +96,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.732510532570666,
-            "kappa_mean": 4.741763157572586,
-            "kappa_max": 4.750045197189106,
+            "kappa_min": 4.732510532572001,
+            "kappa_mean": 4.741763157572713,
+            "kappa_max": 4.7500451971885305,
         },
     ),
     "random_sigma": (
@@ -115,9 +115,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.704282951309202,
-            "kappa_mean": 2.8613912996325825,
-            "kappa_max": 3.1137168903301657,
+            "kappa_min": 2.7042829513091493,
+            "kappa_mean": 2.861391299632659,
+            "kappa_max": 3.1137168903305255,
         },
     ),
     "random_sigma_convex": (
@@ -130,8 +130,8 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 10.5,
             "iter_max": 11.0,
-            "kappa_min": 2.6405091305066146,
-            "kappa_mean": 2.710630224955908,
+            "kappa_min": 2.640509130506592,
+            "kappa_mean": 2.7106302249558967,
             "kappa_max": 2.7807513194052014,
         },
     ),
