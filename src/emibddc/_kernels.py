@@ -19,8 +19,9 @@ def tet_stiffness_batch(coords, sigma):
 
     coords: (T, 4, 3) vertex coordinates, sigma: (T,) conductivities.
     Returns (T, 4, 4) element matrices, the same for either orientation,
-    and (T,) signed volumes; raises on degenerate cells.  A coupling of orthogonal gradients (``|k_ij| <=
-    _ORTHOGONAL * sqrt(k_ii k_jj)``) is exactly 0.0, not a rounding residue.
+    and (T,) signed volumes; raises on degenerate cells.  A coupling of
+    orthogonal gradients (``|k_ij| <= _ORTHOGONAL * sqrt(k_ii k_jj)``) is
+    exactly 0.0, not a rounding residue.
     """
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     sigma = np.ascontiguousarray(sigma, dtype=np.float64)

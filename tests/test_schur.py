@@ -141,8 +141,8 @@ def test_apply_equals_per_substructure_scatter(which, patch_mesh, patch_topo, sp
     """The S-apply of the assembled step matrix agrees with the sum of one
     scatter of K_gg v - K_gI K_II^{-1} K_Ig v per substructure, built from
     the broken local operators and their own interior factors, to 1e-13 of
-    the largest entry (the two paths sum the interface mass in different
-    orders; the largest difference seen is 1.1e-15 of it)."""
+    the largest entry (the two paths sum their terms in different orders;
+    the largest difference seen is 1.1e-15 of it, on the 2x2x1 grid)."""
     if which == "patch":
         dm = build_composite_space(patch_mesh, patch_topo)
         ops = assemble_system(patch_mesh, patch_topo, dm, ModelParams())
