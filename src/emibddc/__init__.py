@@ -7,6 +7,16 @@ gradients preconditioned by a balancing domain decomposition with
 vertex/edge/face primal constraints and conductivity-weighted averaging.
 """
 
+try:
+    from numpy._core.multiarray import _set_madvise_hugepage
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import _set_madvise_hugepage
+
+# numpy marks arrays of 4 MiB or more for huge pages, which the kernel's
+# background collapse makes resident at moments that vary from run to run:
+# the convex-h12 workload's first study peaks at 169-176 MiB, unmarked 169-170.
+_set_madvise_hugepage(False)
+
 from .errors import (
     EmiBddcError,
     ConfigError,
