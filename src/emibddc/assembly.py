@@ -17,9 +17,12 @@ surface mass matrices, minus ``tau`` times the transmission current density:
 a nonlinear ionic current on membrane patches (cell against bath) and an
 ohmic current ``v / r_gap`` on cell-to-cell gap-junction patches.
 
-Local (per-substructure) operators use half of every interface mass block so
-that the subassembled sum over substructures reproduces the global operator.
-The stiffness kernel snaps couplings of orthogonal gradients to exactly zero
+Every element block is assembled once, into the local (per-substructure)
+operator of the substructure that holds it; each side of an interface patch
+takes half of its mass block.  ``K`` is the sum of the local operators
+through ``local_to_global``, ``K = sum_i R_i^T K_i R_i``, so the broken
+operators BDDC works on and the assembled one agree by construction.  The
+stiffness kernel snaps couplings of orthogonal gradients to exactly zero
 and every assembled matrix drops its zero entries, so the local operators
 store no structural zeros for the sparse factors to order and fill around.
 """
@@ -27,7 +30,7 @@ store no structural zeros for the sparse factors to order and fill around.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,9 +141,7 @@ class LocalOperator:
 
 @dataclass(frozen=True)
 class SystemOperators:
-    stiffness: sp.csr_matrix  # A, global
-    coupling: sp.csr_matrix   # M, global
-    matrix: sp.csr_matrix     # K = tau*A + M
+    matrix: sp.csr_matrix     # K = tau*A + M, the sum of the local operators
     local_ops: tuple
     sigma: np.ndarray         # per region
 
@@ -163,29 +164,27 @@ def assemble_system(
     dofmap: DofMap,
     params: ModelParams,
 ) -> SystemOperators:
-    """Assemble the global step operator and the broken local operators.
+    """Assemble the broken local operators and, from them, the step matrix.
 
-    Every element block goes through one scatter into its targets: the
-    global ``stiffness`` and ``coupling`` by global id, and substructure
-    ``i``'s local operator by local id.
+    Every element block is scattered once, into its substructure's local
+    operator by local id; K is the sum of the local operators through
+    ``local_to_global``, where a trace copy aliases its owner's unknown.
     """
     region = mesh.sub_region
     sigma = params.conductivities(mesh.n_regions)
-    entries = {}
+    parts = [[] for _ in range(mesh.n_substructures)]  # (rows, cols, vals) per substructure
 
-    def add(target, rows, cols, blocks):
-        """Scatter (T, k, k) element blocks at (T, k) row/col ids into target."""
+    def add(sub, rows, cols, blocks):
+        """Scatter (T, k, k) element blocks at (T, k) local row/col ids into sub."""
         k = rows.shape[1]
-        entries.setdefault(target, []).append(
+        parts[sub].append(
             (np.repeat(rows, k, axis=1).ravel(), np.tile(cols, (1, k)).ravel(), blocks.ravel())
         )
 
-    def assembled(target, n):
-        """The summed matrix of target, with no stored zeros; its entries
-        are released."""
-        if target not in entries:
-            return sp.csr_matrix((n, n))
-        rows, cols, vals = (np.concatenate(a) for a in zip(*entries.pop(target)))
+    def assembled(entries, n):
+        """Summed (n, n) CSR of (rows, cols, vals) entries, no stored zeros; empties entries."""
+        rows, cols, vals = (np.concatenate(a) for a in zip(*entries))
+        entries.clear()
         mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
         del rows, cols, vals  # drop the 64-bit inputs before tocsr, the memory peak
         mat = mat.tocsr()
@@ -199,42 +198,31 @@ def assemble_system(
         ke, _ = tet_stiffness_batch(
             mesh.vertices[tets], np.full(len(tets), sigma[region[i]])
         )
-        gids = dofmap.global_ids(region[i], tets)
-        add("stiffness", gids, gids, ke)
         lids = dofmap.local_ids(i, region[i], tets)
         add(i, lids, lids, params.tau * ke)
-    stiffness = assembled("stiffness", dofmap.n_global)
 
-    # interface jump coupling: c_m * [[Mf, -Mf], [-Mf, Mf]] per patch, whole
-    # into the global M and half into each touching substructure's broken
-    # operator; each target takes its own region's block first, an order
-    # that fixes how the duplicates sum
+    # interface jump coupling: c_m * [[Mf, -Mf], [-Mf, Mf]] per patch, half
+    # into each touching substructure's broken operator; each takes its own
+    # region's block first, an order that fixes how the duplicates sum
     for fg in topo.faces:
         if fg.kind == "conforming":
             continue  # one region on both sides: no jump to penalise
         mf, _ = tri_mass_batch(mesh.vertices[fg.triangles])
-        mf = params.c_m * mf
-        for target, ids, scale, pair in (
-            ("coupling", dofmap.global_ids, 1.0, (fg.region_i, fg.region_j)),
-            (fg.sub_i, partial(dofmap.local_ids, fg.sub_i), 0.5, (fg.region_i, fg.region_j)),
-            (fg.sub_j, partial(dofmap.local_ids, fg.sub_j), 0.5, (fg.region_j, fg.region_i)),
-        ):
-            a, b = (ids(r, fg.triangles) for r in pair)
-            for rows, cols, s in ((a, a, scale), (a, b, -scale), (b, a, -scale), (b, b, scale)):
-                add(target, rows, cols, s * mf)
+        mf = 0.5 * params.c_m * mf
+        for sub, pair in ((fg.sub_i, (fg.region_i, fg.region_j)),
+                          (fg.sub_j, (fg.region_j, fg.region_i))):
+            a, b = (dofmap.local_ids(sub, r, fg.triangles) for r in pair)
+            for rows, cols, s in ((a, a, 1.0), (a, b, -1.0), (b, a, -1.0), (b, b, 1.0)):
+                add(sub, rows, cols, s * mf)
 
-    coupling = assembled("coupling", dofmap.n_global)
-    local_ops = tuple(
-        LocalOperator(i, assembled(i, int(dofmap.n_local[i])), int(dofmap.n_interior[i]))
-        for i in range(mesh.n_substructures)
-    )
-    return SystemOperators(
-        stiffness=stiffness,
-        coupling=coupling,
-        matrix=(params.tau * stiffness + coupling).tocsr(),
-        local_ops=local_ops,
-        sigma=sigma,
-    )
+    # K: every stored local entry, at the global ids of its row and column
+    local_ops, k_parts = [], []
+    for i in range(mesh.n_substructures):
+        lo = LocalOperator(i, assembled(parts[i], int(dofmap.n_local[i])), int(dofmap.n_interior[i]))
+        a, l2g = lo.matrix.tocoo(), dofmap.local_to_global[i]
+        k_parts.append((l2g[a.row], l2g[a.col], a.data))
+        local_ops.append(lo)
+    return SystemOperators(assembled(k_parts, dofmap.n_global), tuple(local_ops), sigma)
 
 
 @dataclass

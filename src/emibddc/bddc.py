@@ -90,10 +90,12 @@ class _SubstructureSolver:
         self.n_interior = lo.n_interior
         n_loc = lo.matrix.shape[0]
         self.class_ids = np.array([cid for cid, _ in rows], dtype=np.int64)
-        c = sp.lil_matrix((len(rows), n_loc))
-        for r, (_, row) in enumerate(rows):
-            c[r, row.local_dofs] = row.weights
-        self.solver = ConstrainedSolver(lo.neumann, c.tocsr(), label=label)
+        # one CSR row per constraint row, whose local dofs are distinct and sorted
+        ptr = np.cumsum([0] + [len(row.weights) for _, row in rows])
+        weights = np.concatenate([row.weights for _, row in rows])
+        dofs = np.concatenate([row.local_dofs for _, row in rows])
+        c = sp.csr_matrix((weights, dofs, ptr), shape=(len(rows), n_loc))
+        self.solver = ConstrainedSolver(lo.neumann, c, label=label)
         self.cost = lo.neumann.nnz
         # psi^T K psi of the energy-minimal coarse basis psi = W Q
         self.coarse_matrix = self.solver.q[: len(rows)]

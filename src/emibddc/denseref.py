@@ -16,7 +16,6 @@ from .errors import VerificationError
 __all__ = [
     "dense_substructure_schur",
     "dense_broken_schur",
-    "gather_matrix",
     "dense_assembled_schur",
     "difference_rows",
     "constrained_basis",
@@ -53,16 +52,13 @@ def dense_broken_schur(dofmap, local_ops):
     return sb
 
 
-def gather_matrix(dofmap):
-    """(n_broken, n_gamma) injection: broken dof <- backing assembled dof."""
-    g = np.zeros((dofmap.n_broken, dofmap.n_gamma))
-    g[np.arange(dofmap.n_broken), dofmap.bro_gamma] = 1.0
-    return g
-
-
 def dense_assembled_schur(dofmap, local_ops):
-    g = gather_matrix(dofmap)
-    return g.T @ dense_broken_schur(dofmap, local_ops) @ g
+    """``sum_i G_i^T S_i G_i``, each ``S_i`` added at the dofs it copies."""
+    s_hat = np.zeros((dofmap.n_gamma, dofmap.n_gamma))
+    for op in local_ops:
+        g = dofmap.bro_gamma[dofmap.gamma_slice(op.sub)]
+        s_hat[np.ix_(g, g)] += dense_substructure_schur(op)
+    return s_hat
 
 
 def _row_to_broken(dofmap, row):
@@ -102,24 +98,32 @@ def dense_bddc_matrix(dofmap, constraints, local_ops, sigma):
     """Explicit preconditioner matrix on the assembled interface space.
 
     Realizes M^-1 = R_D^T S~^+ R_D with the constrained-space solve done
-    as one dense pseudo-inverse in a null-space basis, which is exactly
-    the block-elimination sum (local dual solvers + coarse solve) that
-    the production code evaluates piecewise.
+    as one dense pseudo-inverse in a null-space basis ``Z``, which is
+    exactly the block-elimination sum (local dual solvers + coarse solve)
+    that the production code evaluates piecewise.  ``S = Z^T S~ Z``, summed
+    over substructure blocks, has the constants ``c = Z^T 1`` as kernel, so
+    ``S^+ = (S + (alpha/c^T c) c c^T)^-1 - c c^T / (alpha c^T c)``.
     """
-    sb = dense_broken_schur(dofmap, local_ops)
     z = constrained_basis(dofmap, constraints)
     if z.shape[1] == 0:
         raise VerificationError("constrained space is empty; nothing to verify")
-    delta = build_scaling(dofmap, sigma)
-    g = gather_matrix(dofmap)
-    r_d = delta[:, None] * g                  # scaled injection, (nb, n_gamma)
-    s_z = z.T @ sb @ z
-    # pseudo-inverse with a relative cutoff: S~ carries the global constant
-    vals, vecs = np.linalg.eigh(s_z)
-    cut = 1e-10 * vals[-1]
-    inv = np.where(vals > cut, 1.0 / np.where(vals > cut, vals, 1.0), 0.0)
-    s_plus = (vecs * inv) @ vecs.T
-    return r_d.T @ z @ s_plus @ z.T @ r_d
+    s_z = np.empty_like(z)  # S~ Z, one substructure block at a time
+    for op in local_ops:
+        sl = dofmap.gamma_slice(op.sub)
+        s_z[sl] = dense_substructure_schur(op) @ z[sl]
+    s_z = z.T @ s_z
+    c = z.sum(axis=0)
+    alpha, cc = np.trace(s_z) / len(c), c @ c
+    s_z += (alpha / cc) * np.outer(c, c)
+    try:
+        low = sla.cholesky(s_z, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise VerificationError("constrained operator is singular beyond constants") from exc
+    # (Z^T R_D)^T: every broken dof adds its scaled row of Z at the dof it copies
+    zr = np.zeros((dofmap.n_gamma, len(c)))
+    np.add.at(zr, dofmap.bro_gamma, build_scaling(dofmap, sigma)[:, None] * z)
+    y = sla.solve_triangular(low, zr.T, lower=True)
+    return y.T @ y - np.outer(zr @ c, zr @ c) / (alpha * cc)
 
 
 def preconditioned_spectrum(m_inv, s_hat):

@@ -375,7 +375,7 @@ def extract_interfaces(mesh: Mesh) -> InterfaceTopology:
     groups = np.split(np.arange(len(tri)), boundaries)
 
     face_groups = []
-    seg_sets = {}
+    group_edges = []
     for g in groups:
         if len(g) == 0:
             continue
@@ -390,40 +390,45 @@ def extract_interfaces(mesh: Mesh) -> InterfaceTopology:
             )
         )
         edges = np.sort(tris[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
-        seg_sets[(i, j)] = np.unique(edges[:, 0] * nv + edges[:, 1])
+        group_edges.append(edges[:, 0] * nv + edges[:, 1])
 
-    # 1D junctions: mesh edges lying on two face groups that share a substructure
-    junction_keys = {}
-    pairs = sorted(seg_sets)
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            triple = set(pairs[a]) | set(pairs[b])
-            if len(triple) != 3:
-                continue
-            common = np.intersect1d(seg_sets[pairs[a]], seg_sets[pairs[b]])
-            if len(common):
-                key3 = tuple(sorted(triple))
-                junction_keys.setdefault(key3, []).append(common)
+    # 1D junctions: an edge on two face groups that share one substructure
+    # lies on the junction of their three; pair up the groups of every edge
+    n_fg = len(face_groups)
+    fg_subs = np.array([(fg.sub_i, fg.sub_j) for fg in face_groups], np.int64).reshape(-1, 2)
+    on = [e * n_fg + g for g, e in enumerate(group_edges)]  # (edge, group) keys
+    on = np.unique(np.concatenate([np.empty(0, np.int64), *on]))
+    edge_keys, on_subs = on // n_fg, fg_subs[on % n_fg]
+    triples, seg_found = [np.empty((0, 3), np.int64)], [np.empty(0, np.int64)]
+    for d in range(1, len(on)):
+        same = np.flatnonzero(edge_keys[d:] == edge_keys[:-d])
+        if len(same) == 0:
+            break  # no edge lies on more than d face groups
+        # the two groups' four subs, sorted; sharing one leaves three distinct
+        four = np.sort(np.hstack([on_subs[same], on_subs[same + d]]), axis=1)
+        meet = np.any(four[:, 1:] == four[:, :-1], axis=1)
+        mid = np.where(four[:, 1] == four[:, 0], four[:, 2], four[:, 1])
+        triples.append(np.stack([four[:, 0], mid, four[:, 3]], axis=1)[meet])
+        seg_found.append(edge_keys[same][meet])
+    triples, seg_found = np.concatenate(triples), np.concatenate(seg_found)
+    by_triple = np.lexsort(triples.T[::-1])
+    keys3, start = np.unique(triples[by_triple], axis=0, return_index=True)
 
-    junctions = []
-    vert_nodes = []
-    for key3, seg_lists in sorted(junction_keys.items()):
-        seg_keys = np.unique(np.concatenate(seg_lists))
+    junctions, vert_nodes = [], []
+    for key3, found in zip(keys3, np.split(seg_found[by_triple], start[1:])):
+        seg_keys = np.unique(found)
         segments = np.stack([seg_keys // nv, seg_keys % nv], axis=1)
         nodes, degree = np.unique(segments, return_counts=True)
         endpoints = nodes[degree != 2]
         lengths = _segment_lengths(mesh.vertices, segments)
-        w = np.zeros(len(nodes))
         idx = np.searchsorted(nodes, segments)
-        np.add.at(w, idx.ravel(), np.repeat(lengths / 2.0, 2))
-        junctions.append(
-            JunctionEdge(key3, segments, nodes, endpoints, w, float(lengths.sum()))
-        )
+        w = np.bincount(idx.ravel(), np.repeat(lengths / 2.0, 2), len(nodes))
+        junctions.append(JunctionEdge(
+            tuple(int(t) for t in key3), segments, nodes, endpoints, w, float(lengths.sum())
+        ))
         vert_nodes.append(endpoints)
 
-    vertices_all = (
-        np.unique(np.concatenate(vert_nodes)) if vert_nodes else np.empty(0, np.int64)
-    )
+    vertices_all = np.unique(np.concatenate([np.empty(0, np.int64), *vert_nodes]))
 
     # node -> substructure incidence
     pairs_ns = np.unique(tets.ravel() * (mesh.n_substructures + 1) + np.repeat(sub, 4))

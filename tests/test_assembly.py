@@ -160,9 +160,9 @@ def test_snap_keeps_genuine_couplings(patch_mesh):
 
 def test_inverted_tets_assemble_like_oriented(patch_mesh):
     """P1 stiffness does not depend on orientation: the patch mesh with
-    every tet inverted assembles A, M, K and every local operator of the
-    oriented mesh, within 1e-14 of each one's largest entry, with no
-    negative diagonal."""
+    every tet inverted assembles K and every local operator of the oriented
+    mesh, at two time steps (so stiffness and mass each agree), within
+    1e-14 of each one's largest entry, with no negative diagonal."""
     flipped = Mesh(
         patch_mesh.config, patch_mesh.vertices, patch_mesh.tets[:, [0, 1, 3, 2]],
         patch_mesh.tet_sub,
@@ -171,22 +171,66 @@ def test_inverted_tets_assemble_like_oriented(patch_mesh):
         flipped.vertices[flipped.tets], np.ones(len(flipped.tets))
     )
     assert np.all(vol < 0)
-    built = []
-    for mesh in (patch_mesh, flipped):
-        topo = extract_interfaces(mesh)
-        dm = build_composite_space(mesh, topo)
-        built.append((dm, assemble_system(mesh, topo, dm, ModelParams())))
-    (dm, ops), (dm_flip, ops_flip) = built
-    for g, g_flip in zip(dm.local_to_global, dm_flip.local_to_global):
-        assert np.array_equal(g, g_flip)
-    pairs = [
-        (ops.stiffness, ops_flip.stiffness),
-        (ops.coupling, ops_flip.coupling),
-        (ops.matrix, ops_flip.matrix),
-    ] + [(lo.matrix, lo_flip.matrix) for lo, lo_flip in zip(ops.local_ops, ops_flip.local_ops)]
-    for a, b in pairs:
-        assert abs(b - a).max() <= 1e-14 * abs(a).max()
-        assert b.diagonal().min() >= 0.0
+    for params in (ModelParams(), ModelParams(tau=1.0)):
+        built = []
+        for mesh in (patch_mesh, flipped):
+            topo = extract_interfaces(mesh)
+            dm = build_composite_space(mesh, topo)
+            built.append((dm, assemble_system(mesh, topo, dm, params)))
+        (dm, ops), (dm_flip, ops_flip) = built
+        for g, g_flip in zip(dm.local_to_global, dm_flip.local_to_global):
+            assert np.array_equal(g, g_flip)
+        pairs = [(ops.matrix, ops_flip.matrix)] + [
+            (lo.matrix, lo_flip.matrix) for lo, lo_flip in zip(ops.local_ops, ops_flip.local_ops)
+        ]
+        for a, b in pairs:
+            assert abs(b - a).max() <= 1e-14 * abs(a).max()
+            assert b.diagonal().min() >= 0.0
+
+
+def reference_operators(mesh, topo, dm, params):
+    """Dense global stiffness A and jump mass M, assembled element by element
+    by ``global_ids`` from ``reference_stiffness`` and the exact P1 triangle
+    mass ``area/12 * (1 + delta_ab)``, independent of the assembly code."""
+    n = dm.n_global
+    a_ref, m_ref = np.zeros((n, n)), np.zeros((n, n))
+    sigma = params.conductivities(mesh.n_regions)
+    tet_region = mesh.sub_region[mesh.tet_sub]
+    for r in range(mesh.n_regions):
+        tets = mesh.tets[tet_region == r]
+        g = dm.global_ids(r, tets)
+        ke = reference_stiffness(mesh.vertices[tets], np.full(len(tets), sigma[r]))
+        np.add.at(a_ref, (g[:, :, None], g[:, None, :]), ke)
+    for fg in topo.faces:
+        if fg.kind == "conforming":
+            continue
+        x = mesh.vertices[fg.triangles]
+        area = 0.5 * np.linalg.norm(np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]), axis=1)
+        me = params.c_m * area[:, None, None] / 12.0 * (np.ones((3, 3)) + np.eye(3))
+        a, b = (dm.global_ids(r, fg.triangles) for r in (fg.region_i, fg.region_j))
+        for rows, cols, s in ((a, a, 1.0), (a, b, -1.0), (b, a, -1.0), (b, b, 1.0)):
+            np.add.at(m_ref, (rows[:, :, None], cols[:, None, :]), s * me)
+    return a_ref, m_ref
+
+
+def _pipeline(mesh, params):
+    topo = extract_interfaces(mesh)
+    dm = build_composite_space(mesh, topo)
+    return topo, dm, assemble_system(mesh, topo, dm, params)
+
+
+@pytest.mark.parametrize("tau", [0.01, 1e-6])
+@pytest.mark.parametrize("name", ["patch", "two_cell", "split_bath"])
+def test_matrix_matches_dense_reference(name, tau, patch_mesh, split_bath):
+    """K, summed from the local operators, equals tau*A + M of the dense
+    element-by-element reference within 1e-14 of its largest entry; at the
+    small step the jump mass M dominates K, at the default the stiffness."""
+    mesh = {"patch": patch_mesh, "two_cell": split_bath[0], "split_bath": split_bath[1]}[name]
+    params = ModelParams(tau=tau)
+    topo, dm, ops = _pipeline(mesh, params)
+    a_ref, m_ref = reference_operators(mesh, topo, dm, params)
+    k = ops.matrix.toarray()
+    assert np.abs(k - (params.tau * a_ref + m_ref)).max() <= 1e-14 * np.abs(k).max()
 
 
 def test_degenerate_elements_rejected():
@@ -229,13 +273,14 @@ def test_oriented_pair_membrane_and_gap(problem_2cell):
 
 
 def test_system_matrix_structure(problem_2cell):
-    """K = tau*A + M with a one-dimensional constant kernel."""
-    ops = problem_2cell.operators
+    """K = tau*A + M of the dense reference, with a one-dimensional
+    constant kernel."""
+    mesh, topo, dm = problem_2cell.mesh, problem_2cell.topo, problem_2cell.dofmap
     params = problem_2cell.params
-    k = ops.matrix.toarray()
+    k = problem_2cell.operators.matrix.toarray()
     npt.assert_allclose(k, k.T, atol=1e-14)
-    recomposed = params.tau * ops.stiffness.toarray() + ops.coupling.toarray()
-    npt.assert_allclose(k, recomposed, atol=1e-15, rtol=0)
+    a_ref, m_ref = reference_operators(mesh, topo, dm, params)
+    npt.assert_allclose(k, params.tau * a_ref + m_ref, atol=1e-14 * np.abs(k).max(), rtol=0)
     ones = np.ones(k.shape[0])
     npt.assert_allclose(k @ ones, 0.0, atol=1e-13)
     w = np.linalg.eigvalsh(k)
@@ -244,13 +289,15 @@ def test_system_matrix_structure(problem_2cell):
 
 
 def test_timestep_linearity(problem_2cell):
+    """K moves with tau by exactly the reference stiffness."""
     mesh, topo, dofmap = problem_2cell.mesh, problem_2cell.topo, problem_2cell.dofmap
     p1 = ModelParams(tau=0.01)
     p2 = ModelParams(tau=0.02)
     ops1 = assemble_system(mesh, topo, dofmap, p1)
     ops2 = assemble_system(mesh, topo, dofmap, p2)
     diff = (ops2.matrix - ops1.matrix).toarray()
-    npt.assert_allclose(diff, 0.01 * ops1.stiffness.toarray(), atol=1e-15, rtol=0)
+    a_ref, _ = reference_operators(mesh, topo, dofmap, p1)
+    npt.assert_allclose(diff, 0.01 * a_ref, atol=1e-14 * np.abs(ops2.matrix).max(), rtol=0)
 
 
 def test_local_operators_store_no_zeros():

@@ -56,29 +56,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.7500451971885305,
-                "polylog_model": 4.7500451971885305,
+                "kappa_est": 4.750045197189011,
+                "polylog_model": 4.750045197189011,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.748551125994402,
-                "polylog_model": 4.748551125994402,
+                "kappa_est": 4.748551125993792,
+                "polylog_model": 4.748551125993792,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
-                "kappa_est": 4.992188575565279,
-                "polylog_model": 7.910312489563477,
+                "kappa_est": 4.992188575565259,
+                "polylog_model": 7.910312489564277,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
-                "kappa_est": 4.990672350718394,
-                "polylog_model": 7.9078243932324765,
+                "kappa_est": 4.990672350718377,
+                "polylog_model": 7.9078243932314605,
             },
         ],
     ),
@@ -96,9 +96,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.732510532572001,
-            "kappa_mean": 4.741763157572713,
-            "kappa_max": 4.7500451971885305,
+            "kappa_min": 4.7325105325705135,
+            "kappa_mean": 4.741763157572174,
+            "kappa_max": 4.750045197189011,
         },
     ),
     "random_sigma": (
@@ -115,9 +115,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.7042829513091493,
-            "kappa_mean": 2.861391299632659,
-            "kappa_max": 3.1137168903305255,
+            "kappa_min": 2.7042829513096636,
+            "kappa_mean": 2.8613912996327238,
+            "kappa_max": 3.1137168903302053,
         },
     ),
     "random_sigma_convex": (
@@ -130,9 +130,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 10.5,
             "iter_max": 11.0,
-            "kappa_min": 2.640509130506592,
-            "kappa_mean": 2.7106302249558967,
-            "kappa_max": 2.7807513194052014,
+            "kappa_min": 2.64050913050662,
+            "kappa_mean": 2.7106302249559096,
+            "kappa_max": 2.780751319405199,
         },
     ),
 }

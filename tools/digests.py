@@ -14,17 +14,18 @@ commit after it appends ``max_rel_diff X`` to each hashed line.  ``X`` is
 the largest over the label's arrays of ``max|new - old| / max|old|``; an
 integer array, or one whose shape changed, counts as 0 when equal and
 ``inf`` otherwise, and a label with nothing saved shows ``missing``.  A
-sparse matrix (K, A, M and the local operators) is rebuilt from its saved
+sparse matrix (K and the local operators) is rebuilt from its saved
 ``(indptr, indices, data)`` and ``X`` is ``max|A_new - A_old| / max|A_old|``
 over its entries, so a change of which entries are stored does not hide
-how far the values moved.
+how far the values moved.  Compared with a directory saved before the
+global stiffness A and coupling M were dropped (K has been the sum of the
+local operators since), the saved A and M files are simply not read.
 
 The meshes are the two-cell row (2x1x1, default parameters) and the
 meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
 ``vef`` and ``ve`` primal spaces.  Per mesh it hashes ``bro_gamma``,
-``gamma_global``, the global step matrix K, the global stiffness A and
-coupling M, and every substructure's ``local_to_global`` and local
-operator matrix, the interface operator applied to a seeded vector, and
+``gamma_global``, the global step matrix K, and every substructure's
+``local_to_global`` and local operator matrix, the interface operator applied to a seeded vector, and
 the reduced load and the recovered solution for a seeded compatible
 load; per primal space the preconditioner applied to the same vector,
 every substructure's ``Q = H^{-1} [I_m; 0]`` (its multiplier system
@@ -183,8 +184,7 @@ def main(argv=None) -> int:
         print(f"{name} sizes n_global={dm.n_global} n_gamma={dm.n_gamma} n_broken={dm.n_broken}")
         out.hashed(f"{name} bro_gamma", lambda: (dm.bro_gamma,))
         out.hashed(f"{name} gamma_global", lambda: (dm.gamma_global,))
-        for label, m in (("K", ops.matrix), ("stiffness", ops.stiffness), ("coupling", ops.coupling)):
-            out.matrix(f"{name} {label}", m)
+        out.matrix(f"{name} K", ops.matrix)
         for lo in ops.local_ops:
             out.matrix(f"{name} local_matrix[{lo.sub}]", lo.matrix)
             out.hashed(f"{name} local_to_global[{lo.sub}]", lambda: (dm.local_to_global[lo.sub],))
