@@ -114,7 +114,7 @@ def dense_bddc_matrix(dofmap, constraints, local_ops, sigma):
     s_z = z.T @ s_z
     c = z.sum(axis=0)
     alpha, cc = np.trace(s_z) / len(c), c @ c
-    s_z += (alpha / cc) * np.outer(c, c)
+    s_z += np.outer((alpha / cc) * c, c)
     try:
         low = sla.cholesky(s_z, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:

@@ -57,6 +57,39 @@ def test_junctions_are_triples():
         npt.assert_allclose(j.node_weights.sum(), j.length, rtol=1e-12)
 
 
+def _junctions_by_face_pairs(mesh, topo):
+    """Junction segments found the direct way: the edges that every pair of
+    face groups sharing one substructure have in common, per triple."""
+    nv = len(mesh.vertices)
+    edges = {}
+    for fg in topo.faces:
+        e = np.sort(fg.triangles[:, [[0, 1], [0, 2], [1, 2]]].reshape(-1, 2), axis=1)
+        edges[(fg.sub_i, fg.sub_j)] = np.unique(e[:, 0] * nv + e[:, 1])
+    found = {}
+    pairs = sorted(edges)
+    for a, pa in enumerate(pairs):
+        for pb in pairs[a + 1:]:
+            triple = tuple(sorted(set(pa) | set(pb)))
+            common = np.intersect1d(edges[pa], edges[pb])
+            if len(triple) == 3 and len(common):
+                found[triple] = np.union1d(found.get(triple, common), common)
+    return [(t, np.stack([k // nv, k % nv], axis=1)) for t, k in sorted(found.items())]
+
+
+@pytest.mark.parametrize("name", ["grid", "patch", "split_bath"])
+def test_junctions_match_face_pair_intersection(name, patch_mesh, split_bath):
+    mesh = {
+        "grid": build_mesh(MeshConfig(cells_x=2, cells_y=2, cells_z=2)),
+        "patch": patch_mesh,
+        "split_bath": split_bath[1],
+    }[name]
+    topo = extract_interfaces(mesh)
+    expected = _junctions_by_face_pairs(mesh, topo)
+    assert [je.subs for je in topo.junctions] == [t for t, _ in expected]
+    for je, (_, segments) in zip(topo.junctions, expected):
+        npt.assert_array_equal(je.segments, segments)
+
+
 def test_multiplicity_bounds():
     mesh = build_mesh(MeshConfig(cells_x=2, cells_y=2, cells_z=1))
     topo = extract_interfaces(mesh)
