@@ -102,7 +102,7 @@ def dense_bddc_matrix(dofmap, constraints, local_ops, sigma):
     exactly the block-elimination sum (local dual solvers + coarse solve)
     that the production code evaluates piecewise.  ``S = Z^T S~ Z``, summed
     over substructure blocks, has the constants ``c = Z^T 1`` as kernel, so
-    ``S^+ = (S + (alpha/c^T c) c c^T)^-1 - c c^T / (alpha c^T c)``.
+    ``S^+ = (S + (a/c^T c) c c^T)^-1 - c c^T / (a c^T c)`` for any a > 0.
     """
     z = constrained_basis(dofmap, constraints)
     if z.shape[1] == 0:

@@ -396,8 +396,8 @@ def extract_interfaces(mesh: Mesh) -> InterfaceTopology:
     # lies on the junction of their three; pair up the groups of every edge
     n_fg = len(face_groups)
     fg_subs = np.array([(fg.sub_i, fg.sub_j) for fg in face_groups], np.int64).reshape(-1, 2)
-    on = [e * n_fg + g for g, e in enumerate(group_edges)]  # (edge, group) keys
-    on = np.unique(np.concatenate([np.empty(0, np.int64), *on]))
+    keyed = [e * n_fg + g for g, e in enumerate(group_edges)]  # edge, then group
+    on = np.unique(np.concatenate([np.empty(0, np.int64), *keyed]))
     edge_keys, on_subs = on // n_fg, fg_subs[on % n_fg]
     triples, seg_found = [np.empty((0, 3), np.int64)], [np.empty(0, np.int64)]
     for d in range(1, len(on)):
