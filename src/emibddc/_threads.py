@@ -1,11 +1,14 @@
-"""One thread per core for the substructure loops of the interface applies.
+"""One thread per core for the substructure loop of the M-apply.
 
-The per-substructure work of an S-apply (interior solves) and of an M-apply
-(constrained Neumann solves) is independent from one substructure to the
-next, and SuperLU's triangular solves and numpy's matrix-vector products
-release the GIL.  :func:`partition` splits the substructures into one group
-per core, :func:`run_groups` runs those groups at once: group 0 in the
-calling thread, the others on a module-level pool of ``cores - 1`` threads.
+The constrained Neumann solves of an M-apply are independent from one
+substructure to the next, and SuperLU's triangular solves and numpy's
+matrix-vector products release the GIL.  :func:`partition` splits the
+substructures into one group per core, :func:`run_groups` runs those groups
+at once: group 0 in the calling thread, the others on a module-level pool
+of ``cores - 1`` threads.
+
+The S-apply does not use the pool: its interior solve is one SuperLU solve
+with one factor of all interiors (see :mod:`emibddc.schur`).
 
 Callers keep results bit-identical for any core count: a worker writes only
 its own substructures' outputs, and every sum across substructures is

@@ -20,23 +20,25 @@ through the multipliers of :class:`~emibddc.sparsela.ConstrainedSolver`, so
 each substructure's Neumann matrix is its full local operator, pinned at
 one entry for its constant kernel.  Its sparse LU factorization is built
 once per problem as ``LocalOperator.neumann`` and shared by ``vef`` and
-``ve``; each preconditioner adds only its own multiplier basis ``W`` at the
-interface rows, the LU of the dense multiplier matrix ``H`` and the small
-``Q = H^{-1} [I_m; 0]``.
+``ve``; each preconditioner adds only its own folded multiplier basis
+``V = W H^{-1}`` at the interface rows (``W`` the multiplier basis, ``H``
+the dense multiplier matrix) and the small ``Q = H^{-1} [I_m; 0]``.
 
 The coarse basis ``psi = W Q`` of a substructure minimizes local energy
 subject to unit value on one class and zero on the others, but it is never
 formed: its energy ``psi^T K psi`` is ``H^{-1}[:m, :m] = Q[:m]``, the
 substructure's block of the coarse operator, and for a load ``b`` its
-coarse residual ``psi^T b`` is ``lam[:m]``, the leading dual multipliers
-``lam = H^{-1} Ct y`` of the load response ``y``.  An application is
+coarse residual ``psi^T b`` is ``Q^T Ct y``, the leading dual multipliers
+``(H^{-1} Ct y)[:m]`` of the load response ``y``.  An application is
 therefore two phases per substructure around the coarse solve:
 
-* phase one, ``y = K_p^{-1} [0; r_i]``, ``lam_i = H^{-1} Ct y`` and
-  ``z_i = y_Gamma``; the coarse residual is the sum of the ``lam_i[:m]``,
-* phase two, ``z_i += W_Gamma (Q z_Pi[classes] - lam_i)``, the dual and the
-  coarse correction in one dense product.
+* phase one, ``y = K_p^{-1} [0; r_i]``, ``c_i = Ct y`` and ``z_i = y_Gamma``;
+  the coarse residual is the sum of the ``Q^T c_i`` (an ``m x (m+1)``
+  product each),
+* phase two, ``z_i += V_Gamma ([z_Pi[classes]; 0] - c_i)``, the dual and
+  the coarse correction in one dense product.
 
+Neither phase makes a LAPACK call; the one coarse solve between them does.
 The coarse problem is dense and is inverted on the orthogonal complement of
 its one-dimensional kernel (the coarse image of the constant vector).
 

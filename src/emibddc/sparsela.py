@@ -32,18 +32,20 @@ Two building blocks:
   The factor of ``A + rho*e_p*e_p^T`` does not depend on ``C``, so a caller
   that solves against several constraint sets builds the :class:`SPDSolver`
   once and hands it to every :class:`ConstrainedSolver`.  With the
-  multiplier basis ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T``, the dense
-  ``H = Ct W - D`` and its first ``m`` columns solved once,
-  ``Q = H^{-1} [I_m; 0]``, the solution for a load ``b`` and targets ``g`` is
+  multiplier basis ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T`` and the dense
+  ``H = Ct W - D``, the solution for a load ``b`` and targets ``g`` is
 
-      u = y + W (Q g - lam),   y = (A + rho*e_p*e_p^T)^{-1} b,   lam = H^{-1} Ct y,
+      u = y + V ([g; 0] - Ct y),   y = (A + rho*e_p*e_p^T)^{-1} b,   V = W H^{-1}.
 
-  in two phases: the sparse solve and the multipliers ``lam``, then one
-  dense product with ``W``; the targets need no sparse solve.  ``Q`` is
-  also the energy of the extensions: ``psi = W Q`` minimizes
-  ``psi^T A psi`` subject to ``C psi = I_m``, and ``psi^T A psi = Q[:m]``,
-  since ``psi^T (A + rho*e_p*e_p^T) psi = Q[:m] + Q^T D Q`` and the pin
-  adds ``rho*(e_p^T psi)^2 = Q^T D Q``.  Likewise ``psi^T b = lam[:m]``.
+  ``V`` is formed once, at set-up, so a solve is one sparse solve, one
+  sparse product with ``Ct`` and one dense product with ``V``, and the
+  targets need no sparse solve.  ``Q = H^{-1} [I_m; 0]`` (the first ``m``
+  columns of ``V`` are ``W Q``) is the energy of the extensions:
+  ``psi = W Q`` minimizes ``psi^T A psi`` subject to ``C psi = I_m``, and
+  ``psi^T A psi = Q[:m]``, since
+  ``psi^T (A + rho*e_p*e_p^T) psi = Q[:m] + Q^T D Q`` and the pin adds
+  ``rho*(e_p^T psi)^2 = Q^T D Q``.  Likewise ``psi^T b = Q^T Ct y``, the
+  leading multipliers ``(H^{-1} Ct y)[:m]``, as ``H`` is symmetric.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
 __all__ = ["SPDSolver", "ConstrainedSolver"]
+
+_FOLD_ROWS = 1024  # rows of W per in-place block of the V = W H^{-1} fold
 
 
 class SPDSolver:
@@ -175,8 +179,9 @@ class ConstrainedSolver:
 
     :meth:`solve` returns the solution for a load and constraint targets.
     Its two phases are private kernels that worker threads may call:
-    :meth:`_multipliers` (the sparse solve) and :meth:`_correct` (one dense
-    product with ``W``).  ``q`` is ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows
+    :meth:`_multipliers` (the sparse solve, ``Ct y`` and the coarse
+    residual ``Q^T Ct y``) and :meth:`_correct` (one dense product with
+    ``V = W H^{-1}``).  ``q`` is ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows
     with the pin, else ``m``); its first ``m`` rows are the energy of the
     extensions of the unit targets.
     """
@@ -209,24 +214,32 @@ class ConstrainedSolver:
             with np.errstate(invalid="raise"), warnings.catch_warnings():
                 # singular pivots are caught explicitly below
                 warnings.simplefilter("ignore", sla.LinAlgWarning)
-                self._h_lu = sla.lu_factor(h)
+                h_lu = sla.lu_factor(h)
         except (ValueError, sla.LinAlgError, FloatingPointError) as exc:
             raise FactorizationError(
                 f"dependent constraint rows for {label or '?'}"
             ) from exc
-        piv = np.abs(np.diag(self._h_lu[0]))
+        piv = np.abs(np.diag(h_lu[0]))
         if piv.size and piv.min() <= 1e-13 * max(piv.max(), 1.0):
             raise FactorizationError(
                 f"dependent constraint rows for {label or '?'}"
             )
-        self._w = w
-        self.q = sla.lu_solve(self._h_lu, np.eye(self._mt, self.m))
+        self.q = sla.lu_solve(h_lu, np.eye(self._mt, self.m))
+        self._qt = np.ascontiguousarray(self.q.T)
+        # V = W H^{-1} as H^T V^T = W^T, written over W one block of rows at
+        # a time through a row-major copy (LAPACK takes the rows of W as
+        # columns).  One whole-height block raised the peak RSS of the
+        # rhs-stream benchmark workload by 11 MiB, blocks of 1,024 rows by 1.5.
+        for r in range(0, self.n, _FOLD_ROWS):
+            block = np.ascontiguousarray(w[r:r + _FOLD_ROWS])
+            w[r:r + _FOLD_ROWS] = sla.lu_solve(h_lu, block.T, trans=1, overwrite_b=True).T
+        self._v = w
 
     def compress(self, rows: np.ndarray):
-        """Keep the multiplier basis only at ``rows``; later solves return
-        the solution restricted to those rows."""
+        """Keep ``V`` only at ``rows`` (``V[rows]`` is ``W[rows] H^{-1}``);
+        later solves return the solution restricted to those rows."""
         self._rows = np.asarray(rows, dtype=np.int64)
-        self._w = np.ascontiguousarray(self._w[self._rows])
+        self._v = np.ascontiguousarray(self._v[self._rows])
 
     def solve(self, rhs: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
         """Energy minimizer for the load ``rhs`` subject to ``C u = targets``
@@ -236,12 +249,17 @@ class ConstrainedSolver:
         return self._correct(y, lam, np.asarray(g, dtype=np.float64))
 
     def _multipliers(self, rhs: np.ndarray):
-        """Phase one: ``y`` at the kept rows and ``lam = H^{-1} Ct y``."""
+        """Phase one: ``y`` at the kept rows, and ``lam``, the coarse
+        residual ``Q^T Ct y`` (the leading dual multipliers) stacked on
+        ``Ct y``."""
         y = self._spd._solve(rhs)
-        lam = sla.lu_solve(self._h_lu, self._ct @ y)
+        c = self._ct @ y
+        lam = np.concatenate((self._qt @ c, c))
         return (y if self._rows is None else y[self._rows]), lam
 
     def _correct(self, y: np.ndarray, lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Phase two, in place: ``y += W (Q g - lam)``; returns ``y``."""
-        y += self._w @ (self.q @ targets - lam)
+        """Phase two, in place: ``y += V ([g; 0] - Ct y)``; returns ``y``."""
+        d = -lam[self.m:]
+        d[: self.m] += targets
+        y += self._v @ d
         return y

@@ -4,6 +4,7 @@ import pytest
 
 from emibddc import denseref
 from emibddc.assembly import ModelParams, assemble_system
+from emibddc.errors import FactorizationError
 from emibddc.femspace import build_composite_space
 from emibddc.geometry import MeshConfig, extract_interfaces
 from emibddc.harness import Problem, build_problem
@@ -176,3 +177,48 @@ def test_apply_takes_a_block(split):
     for j in range(block.shape[1]):
         expected = sch.apply(block[:, j])
         npt.assert_allclose(got[:, j], expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("which", ["patch", "two_cell", "split"])
+def test_one_interior_factor_matches_dense(which, patch_mesh, patch_topo, problem_2cell, split):
+    """With one factor for all interiors, the S-apply agrees with the dense
+    assembled Schur complement, and the reduced load and the recovered
+    interiors with dense interior solves, each to 1e-12 of the norm."""
+    if which == "patch":
+        dm = build_composite_space(patch_mesh, patch_topo)
+        ops = assemble_system(patch_mesh, patch_topo, dm, ModelParams())
+        sch = condense(dm, ops.matrix)
+    else:
+        problem = problem_2cell if which == "two_cell" else split
+        dm, ops, sch = problem.dofmap, problem.operators, problem.schur
+    k = ops.matrix.toarray()
+    ids, gamma = sch.interior_ids, dm.gamma_global
+    k_ii = k[np.ix_(ids, ids)]
+    rng = np.random.default_rng(19)
+    v = rng.standard_normal(dm.n_gamma)
+    f = rng.standard_normal(dm.n_global)
+
+    def assert_close(got, expected):
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    assert_close(sch.apply(v), denseref.dense_assembled_schur(dm, ops.local_ops) @ v)
+    reduced = f[gamma] - k[np.ix_(gamma, ids)] @ np.linalg.solve(k_ii, f[ids])
+    assert_close(sch.reduce_rhs(f), reduced)
+    u = sch.recover_interior(v, f)
+    assert_close(u[ids], np.linalg.solve(k_ii, f[ids] - k[np.ix_(ids, gamma)] @ v))
+    npt.assert_array_equal(u[gamma], v)
+
+
+def test_singular_interior_block_names_its_substructure(problem_1cell):
+    """An interior block that is singular makes the one interior factor
+    fail, and the error names the substructure that block belongs to."""
+    dm = problem_1cell.dofmap
+    assert dm.n_interior[1]
+    k = problem_1cell.operators.matrix.tolil()
+    dof = dm.local_to_global[1][0]  # the cell's first interior unknown
+    k[dof, :] = 0.0
+    k[:, dof] = 0.0
+    with pytest.raises(
+        FactorizationError, match=r"^substructure 1: interior block is singular \(disconnected region\?\)$"
+    ):
+        condense(dm, k.tocsr())

@@ -56,29 +56,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.750045197189011,
-                "polylog_model": 4.750045197189011,
+                "kappa_est": 4.750045197188557,
+                "polylog_model": 4.750045197188557,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.748551125993792,
-                "polylog_model": 4.748551125993792,
+                "kappa_est": 4.748551125994644,
+                "polylog_model": 4.748551125994644,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
-                "kappa_est": 4.992188575565259,
-                "polylog_model": 7.910312489564277,
+                "kappa_est": 4.992188575565289,
+                "polylog_model": 7.9103124895635215,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
-                "kappa_est": 4.990672350718377,
-                "polylog_model": 7.9078243932314605,
+                "kappa_est": 4.990672350718379,
+                "polylog_model": 7.90782439323288,
             },
         ],
     ),
@@ -96,9 +96,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.7325105325705135,
-            "kappa_mean": 4.741763157572174,
-            "kappa_max": 4.750045197189011,
+            "kappa_min": 4.732510532570967,
+            "kappa_mean": 4.741763157572546,
+            "kappa_max": 4.750045197188557,
         },
     ),
     "random_sigma": (
@@ -115,9 +115,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.7042829513096636,
-            "kappa_mean": 2.8613912996327238,
-            "kappa_max": 3.1137168903302053,
+            "kappa_min": 2.7042829513095867,
+            "kappa_mean": 2.8613912996326634,
+            "kappa_max": 3.113716890330353,
         },
     ),
     "random_sigma_convex": (
@@ -130,9 +130,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 10.5,
             "iter_max": 11.0,
-            "kappa_min": 2.64050913050662,
-            "kappa_mean": 2.7106302249559096,
-            "kappa_max": 2.780751319405199,
+            "kappa_min": 2.640509130506616,
+            "kappa_mean": 2.71063022495591,
+            "kappa_max": 2.7807513194052045,
         },
     ),
 }

@@ -1,6 +1,6 @@
-"""The substructure loops of the interface applies run on a thread pool;
-their results must not depend on how the substructures are grouped, and
-the pool's workers must call only private kernels."""
+"""The substructure loops of the M-apply run on a thread pool; its results
+must not depend on how the substructures are grouped, and the pool's
+workers must call only private kernels."""
 
 import sys
 import threading
@@ -30,10 +30,10 @@ def _solve(problem, precond, f):
     return solve_interface(problem, precond, f, tol=1e-8, maxiter=200)
 
 
-def _two_groups(obj):
+def _two_groups(precond):
     """Substructure 0 alone and all others, so that a worker thread runs even
     on one core."""
-    return [[0], list(range(1, sum(len(g) for g in obj._groups)))]
+    return [[0], list(range(1, len(precond.subs)))]
 
 
 def test_partition_is_greedy_largest_first():
@@ -61,69 +61,59 @@ def test_run_groups_waits_and_raises_first_error_in_group_order():
 
 @pytest.mark.parametrize("variant", ["vef", "ve"])
 def test_threaded_applies_match_one_group(grid_problem, variant):
-    """S-apply, M-apply, reduced load, interior recovery and a whole solve
-    give the same bits for the default groups, two groups and one group."""
+    """The M-apply and a whole solve give the same bits for the default
+    groups, two groups and one group."""
     problem = grid_problem
-    schur = problem.schur
     precond = make_preconditioner(problem, variant)
     rng = np.random.default_rng(5)
-    v = rng.standard_normal(schur.n)
+    v = rng.standard_normal(problem.schur.n)
     f = random_rhs(problem, rng)
 
     def results():
         u, report = _solve(problem, precond, f)
-        return (
-            schur.apply(v), precond.apply(v), schur.reduce_rhs(f), schur.recover_interior(v, f),
-            u, report.iterations, report.kappa_est,
-        )
+        return precond.apply(v), u, report.iterations, report.kappa_est
 
     layouts = {
-        "default": (schur._groups, precond._groups),
-        "two": (_two_groups(schur), _two_groups(precond)),
-        "one": ([list(range(len(schur.interiors)))], [list(range(len(precond.subs)))]),
+        "default": precond._groups,
+        "two": _two_groups(precond),
+        "one": [list(range(len(precond.subs)))],
     }
     got = {}
     try:
-        for name, (s_groups, m_groups) in layouts.items():
-            schur._groups, precond._groups = s_groups, m_groups
+        for name, groups in layouts.items():
+            precond._groups = groups
             got[name] = results()
     finally:
-        schur._groups, precond._groups = layouts["default"]
+        precond._groups = layouts["default"]
     for name in ("default", "two"):
-        s, m, g, r, u, its, kappa = got[name]
-        s1, m1, g1, r1, u1, its1, kappa1 = got["one"]
-        assert np.array_equal(s, s1) and np.array_equal(m, m1), name
-        assert np.array_equal(g, g1) and np.array_equal(r, r1), name
+        m, u, its, kappa = got[name]
+        m1, u1, its1, kappa1 = got["one"]
+        assert np.array_equal(m, m1), name
         assert np.array_equal(u, u1) and its == its1 and kappa == kappa1, name
 
 
 def test_one_group_per_substructure_under_fast_switching(grid_problem):
     """More groups than threads, with the interpreter switching threads every
     microsecond: a lost or misplaced write would change the result."""
-    schur = grid_problem.schur
     precond = make_preconditioner(grid_problem, "vef")
-    v = np.random.default_rng(6).standard_normal(schur.n)
-    expected = schur.apply(v), precond.apply(v)
-    default = schur._groups, precond._groups
+    v = np.random.default_rng(6).standard_normal(grid_problem.schur.n)
+    expected = precond.apply(v)
+    default = precond._groups
     interval = sys.getswitchinterval()
     try:
-        schur._groups = [[k] for k in range(len(schur.interiors))]
         precond._groups = [[k] for k in range(len(precond.subs))]
         sys.setswitchinterval(1e-6)
         for _ in range(20):
-            assert np.array_equal(schur.apply(v), expected[0])
-            assert np.array_equal(precond.apply(v), expected[1])
+            assert np.array_equal(precond.apply(v), expected)
     finally:
         sys.setswitchinterval(interval)
-        schur._groups, precond._groups = default
+        precond._groups = default
 
 
 def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     """While workers run substructure groups, every call of a public solver
     method (the ones a tracer may wrap) stays on the calling thread."""
     precond = make_preconditioner(problem_2cell, "vef")
-    schur = problem_2cell.schur
-    monkeypatch.setattr(schur, "_groups", _two_groups(schur))
     monkeypatch.setattr(precond, "_groups", _two_groups(precond))
 
     public, private, corrections = [], [], []
@@ -150,24 +140,18 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     assert not all(private) and not all(corrections)
 
 
-@pytest.mark.parametrize("which", ["schur", "bddc", "bddc-coarse"])
+@pytest.mark.parametrize("which", ["bddc", "bddc-coarse"])
 def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
     """A FactorizationError raised in a worker group comes out of the apply
     as itself, and the next apply works and gives the same result.  The
     M-apply is hit in both of its phases: the constrained Neumann solve
     and the coarse correction."""
     precond = make_preconditioner(problem_2cell, "vef")
-    kernel = "_solve"
-    if which == "schur":
-        obj = problem_2cell.schur
-        target = obj.interiors[1]
-    else:
-        obj = precond
-        target = obj.subs[1].solver
-        kernel = "_multipliers" if which == "bddc" else "_correct"
-    monkeypatch.setattr(obj, "_groups", _two_groups(obj))
+    target = precond.subs[1].solver
+    kernel = "_multipliers" if which == "bddc" else "_correct"
+    monkeypatch.setattr(precond, "_groups", _two_groups(precond))
     v = np.random.default_rng(3).standard_normal(problem_2cell.schur.n)
-    expected = obj.apply(v)
+    expected = precond.apply(v)
 
     threads = []
 
@@ -177,7 +161,7 @@ def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
 
     setattr(target, kernel, broken)
     with pytest.raises(FactorizationError, match="injected failure"):
-        obj.apply(v)
+        precond.apply(v)
     assert threads == [False]
     delattr(target, kernel)
-    assert np.array_equal(obj.apply(v), expected)
+    assert np.array_equal(precond.apply(v), expected)
