@@ -1,18 +1,24 @@
-"""One thread per core for the substructure loop of the M-apply.
+"""One thread per core for the substructure loops of the M-apply.
 
-The constrained Neumann solves of an M-apply are independent from one
-substructure to the next, and SuperLU's triangular solves and numpy's
-matrix-vector products release the GIL.  :func:`partition` splits the
+The Neumann solves and the ``V`` products of an M-apply are independent
+from one substructure to the next, and SuperLU's triangular solves and
+numpy's matrix products release the GIL.  :func:`partition` splits the
 substructures into one group per core, :func:`run_groups` runs those groups
 at once: group 0 in the calling thread, the others on a module-level pool
-of ``cores - 1`` threads.
+of ``cores - 1`` threads.  Everything else in an M-apply is one stacked
+product over all substructures in the calling thread (see
+:mod:`emibddc.bddc`).
+
+SuperLU takes the GIL back to allocate each solve's output, so two threads
+of solve loops gain less than two processes would; the pool pays off by
+letting the bath's one long solve overlap the cells' short ones.
 
 The S-apply does not use the pool: its interior solve is one SuperLU solve
 with one factor of all interiors (see :mod:`emibddc.schur`).
 
 Callers keep results bit-identical for any core count: a worker writes only
-its own substructures' outputs, and every sum across substructures is
-formed afterwards in the calling thread, in substructure order.
+its own substructures' slices of the output, and every sum across
+substructures is formed afterwards in the calling thread.
 """
 
 from __future__ import annotations

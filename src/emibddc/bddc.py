@@ -29,32 +29,42 @@ subject to unit value on one class and zero on the others, but it is never
 formed: its energy ``psi^T K psi`` is ``H^{-1}[:m, :m] = Q[:m]``, the
 substructure's block of the coarse operator, and for a load ``b`` its
 coarse residual ``psi^T b`` is ``Q^T Ct y``, the leading dual multipliers
-``(H^{-1} Ct y)[:m]`` of the load response ``y``.  An application is
-therefore two phases per substructure around the coarse solve:
+``(H^{-1} Ct y)[:m]`` of the load response ``y``.
 
-* phase one, ``y = K_p^{-1} [0; r_i]``, ``c_i = Ct y`` and ``z_i = y_Gamma``;
-  the coarse residual is the sum of the ``Q^T c_i`` (an ``m x (m+1)``
-  product each),
-* phase two, ``z_i += V_Gamma ([z_Pi[classes]; 0] - c_i)``, the dual and
-  the coarse correction in one dense product.
+An application works on one *stacked local vector* (every substructure's
+local vector in turn) through operators stacked over all substructures at
+set-up: the scaled scatter of the assembled interface into its interface
+positions (the scaled assembly is its transpose), the block-diagonal
+``Ct`` of every substructure's constraint rows, pin rows included, the
+coarse restriction ``R`` holding each substructure's ``Q^T`` at its class
+ids, and the dense coarse pseudo-inverse
+``P = Pi (S_pp + (alpha/n) 11^T)^{-1} Pi`` with ``Pi = I - 11^T/n``, which
+inverts the coarse operator on the complement of its kernel (the coarse
+image of the constant vector).  With ``y`` the Neumann solves of the
+scattered residual,
 
-Neither phase makes a LAPACK call; the one coarse solve between them does.
-The coarse problem is dense and is inverted on the orthogonal complement of
-its one-dimensional kernel (the coarse image of the constant vector).
+    c = Ct y,   rho = R c,   d = (P rho)[targets] - c,   y_Gamma += V d,
 
-Both phases run on one thread per core (:mod:`emibddc._threads`; the pool
-is sized from the cores this process may run on, with no setting), in
-groups of similar Neumann factor size fixed at construction.  A worker
-writes only its substructures' slices of the correction and their entries
-of a per-substructure list of multipliers; the coarse residual is summed
-from that list in the calling thread, in substructure order, so the result
-is bit-identical for any core count.  Workers call only private kernels
-(``ConstrainedSolver._multipliers`` and ``_correct``, ``SPDSolver._solve``),
-never a public method, so a tracer that wraps the public API sees every
-span on the calling thread.
+where ``targets`` maps each constraint row to its class id (a pin row's
+target is zero); the scaled assembly of ``y`` is the result.  Every step
+is one call over all substructures but the sparse solves and the ``V``
+products, no step makes a LAPACK call, and the residual may be one vector
+or a block of columns.
+
+The sparse solves and the ``V`` products run on one thread per core
+(:mod:`emibddc._threads`), in groups of similar Neumann factor size fixed
+at construction.  A worker writes only its substructures' slices of the
+stacked vector and calls only private kernels (``_solve_group``,
+``_extend_group``, ``SPDSolver._substitute``), so the result is
+bit-identical for any core count and a tracer that wraps the public API
+sees every span on the calling thread.  The solves are checked for
+non-finite values once, after all of them, naming the first substructure
+at fault.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -83,30 +93,21 @@ def build_scaling(dofmap: DofMap, sigma: np.ndarray) -> np.ndarray:
     return w / total[dofmap.bro_gamma]
 
 
-class _SubstructureSolver:
-    """Constrained Neumann solver of one substructure and its coarse block."""
-
-    def __init__(self, lo, rows, gamma, label):
-        self.sub = lo.sub
-        self.gamma = gamma  # slice of the stacked broken interface
-        self.n_interior = lo.n_interior
-        n_loc = lo.matrix.shape[0]
-        self.class_ids = np.array([cid for cid, _ in rows], dtype=np.int64)
-        # one CSR row per constraint row, whose local dofs are distinct and sorted
-        ptr = np.cumsum([0] + [len(row.weights) for _, row in rows])
-        weights = np.concatenate([row.weights for _, row in rows])
-        dofs = np.concatenate([row.local_dofs for _, row in rows])
-        c = sp.csr_matrix((weights, dofs, ptr), shape=(len(rows), n_loc))
-        self.solver = ConstrainedSolver(lo.neumann, c, label=label)
-        self.cost = lo.neumann.nnz
-        # psi^T K psi of the energy-minimal coarse basis psi = W Q
-        self.coarse_matrix = self.solver.q[: len(rows)]
-        # applies only ever need interface rows of the solution
-        self.solver.compress(np.arange(self.n_interior, n_loc))
+def _constraint_matrix(rows, n_loc: int) -> sp.csr_matrix:
+    """One CSR row per constraint row, whose local dofs are distinct and sorted."""
+    ptr = np.cumsum([0] + [len(row.weights) for _, row in rows])
+    weights = np.concatenate([row.weights for _, row in rows])
+    dofs = np.concatenate([row.local_dofs for _, row in rows])
+    return sp.csr_matrix((weights, dofs, ptr), shape=(len(rows), n_loc))
 
 
 class BddcPreconditioner:
-    """Two-level preconditioner for the assembled interface operator."""
+    """Two-level preconditioner for the assembled interface operator.
+
+    ``solvers[i]`` is substructure ``i``'s constrained Neumann solver, its
+    ``V`` kept at the interface rows; the apply reads its factor and ``V``
+    and otherwise works on the stacked operators built here.
+    """
 
     def __init__(
         self,
@@ -122,9 +123,13 @@ class BddcPreconditioner:
         self.dofmap = dofmap
         self.constraints = constraints
         self.delta = build_scaling(dofmap, sigma)
-        self.coarse_dim = constraints.coarse_dim
+        self.coarse_dim = n = constraints.coarse_dim
 
-        self.subs = []
+        self.solvers = []
+        s_pp = np.zeros((n, n))
+        pos = np.empty(dofmap.n_broken, dtype=np.int64)
+        local_ptr, row_ptr = [0], [0]
+        targets, r_rows, r_cols, r_vals = [], [], [], []
         for lo in local_ops:
             rows = constraints.rows_of(lo.sub)
             if not rows:
@@ -133,69 +138,88 @@ class BddcPreconditioner:
                     f"variant '{constraints.variant.value}'; its local Neumann "
                     "problem is singular and the preconditioner is undefined"
                 )
-            self.subs.append(
-                _SubstructureSolver(
-                    lo, rows, dofmap.gamma_slice(lo.sub),
-                    label=f"substructure {lo.sub} dual block",
-                )
+            n_loc = lo.matrix.shape[0]
+            solver = ConstrainedSolver(
+                lo.neumann, _constraint_matrix(rows, n_loc),
+                label=f"substructure {lo.sub} dual block",
             )
+            # applies only ever need interface rows of the solution
+            solver.compress(np.arange(lo.n_interior, n_loc))
+            self.solvers.append(solver)
 
-        s_pp = np.zeros((self.coarse_dim, self.coarse_dim))
-        for ss in self.subs:
-            s_pp[np.ix_(ss.class_ids, ss.class_ids)] += ss.coarse_matrix
-        self._factor_coarse(s_pp)
-        self._groups = partition([ss.cost for ss in self.subs])
+            ids = np.array([cid for cid, _ in rows], dtype=np.int64)
+            m, mt = len(ids), solver.ct.shape[0]
+            # psi^T K psi of the energy-minimal coarse basis psi = W Q
+            s_pp[np.ix_(ids, ids)] += solver.q[:m]
+            r_rows.append(np.repeat(ids, mt))
+            r_cols.append(row_ptr[-1] + np.tile(np.arange(mt), m))
+            r_vals.append(solver.q.T.ravel())
+            targets.append(np.concatenate([ids, np.full(mt - m, n)]))
+            pos[dofmap.gamma_slice(lo.sub)] = local_ptr[-1] + np.arange(lo.n_interior, n_loc)
+            local_ptr.append(local_ptr[-1] + n_loc)
+            row_ptr.append(row_ptr[-1] + mt)
 
-    def _factor_coarse(self, s_pp: np.ndarray):
-        n = self.coarse_dim
-        q = np.ones(n)
+        self._local = [slice(a, b) for a, b in zip(local_ptr, local_ptr[1:])]
+        self._iface = [slice(b - s.v.shape[0], b) for s, b in zip(self.solvers, local_ptr[1:])]
+        self._rows = [slice(a, b) for a, b in zip(row_ptr, row_ptr[1:])]
+        self._scatter = sp.csr_matrix(
+            (self.delta, (pos, dofmap.bro_gamma)), shape=(local_ptr[-1], dofmap.n_gamma)
+        )
+        self._assemble = self._scatter.T.tocsr()
+        self._ct = sp.block_diag([s.ct for s in self.solvers], format="csr")
+        self._restrict = sp.csr_matrix(
+            (np.concatenate(r_vals), (np.concatenate(r_rows), np.concatenate(r_cols))),
+            shape=(n, row_ptr[-1]),
+        )
+        self._targets = np.concatenate(targets)
+        self._s_pp = s_pp
+        self._coarse_inv = self._coarse_pseudo_inverse(s_pp)
+        self._groups = partition([s.factor.nnz for s in self.solvers])
+
+    @staticmethod
+    def _coarse_pseudo_inverse(s_pp: np.ndarray) -> np.ndarray:
+        """``Pi (S_pp + (alpha/n) 11^T)^{-1} Pi`` over one extra zero row,
+        the target of the pin rows."""
+        n = len(s_pp)
         alpha = float(np.trace(s_pp)) / n
         if not alpha > 0:
             raise FactorizationError("coarse operator has nonpositive trace")
         try:
-            self._coarse_cho = sla.cho_factor(s_pp + (alpha / n) * np.outer(q, q))
+            cho = sla.cho_factor(s_pp + alpha / n)
         except sla.LinAlgError as exc:
             raise FactorizationError(
                 "coarse operator is singular beyond the constant kernel"
             ) from exc
-        self._s_pp = s_pp
+        inv = sla.cho_solve(cho, np.eye(n))
+        inv -= inv.mean(axis=0)
+        inv -= inv.mean(axis=1)[:, None]
+        return np.vstack([inv, np.zeros(n)])
 
-    def _coarse_solve(self, rho: np.ndarray) -> np.ndarray:
-        """Pseudo-inverse of the coarse operator on the kernel complement."""
-        rho = rho - rho.mean()
-        z = sla.cho_solve(self._coarse_cho, rho)
-        return z - z.mean()
+    def _solve_group(self, group, b, y):
+        for k in group:
+            sl = self._local[k]
+            y[sl] = self.solvers[k].factor._substitute(b[sl])
+
+    def _extend_group(self, group, d, y):
+        for k in group:
+            y[self._iface[k]] += self.solvers[k].v @ d[self._rows[k]]
 
     def apply(self, r_gamma: np.ndarray) -> np.ndarray:
-        """One preconditioned residual z = M^{-1} r on the assembled interface."""
-        dm = self.dofmap
-        r_bro = self.delta * r_gamma[dm.bro_gamma]
-        z_bro = np.empty(dm.n_broken)
-        lam = [None] * len(self.subs)
-
-        def dual(group):
-            for k in group:
-                ss = self.subs[k]
-                b = np.zeros(ss.solver.n)
-                b[ss.n_interior:] = r_bro[ss.gamma]
-                z_bro[ss.gamma], lam[k] = ss.solver._multipliers(b)
-
-        run_groups(dual, self._groups)
-        # summed here, in substructure order, so no sum depends on the groups
-        rho = np.zeros(self.coarse_dim)
-        for ss, part in zip(self.subs, lam):
-            rho[ss.class_ids] += part[: len(ss.class_ids)]
-        z_pi = self._coarse_solve(rho)
-
-        def coarse(group):
-            for k in group:
-                ss = self.subs[k]
-                ss.solver._correct(z_bro[ss.gamma], lam[k], z_pi[ss.class_ids])
-
-        run_groups(coarse, self._groups)
-        return np.bincount(
-            dm.bro_gamma, weights=self.delta * z_bro, minlength=dm.n_gamma
-        )
+        """Preconditioned residual z = M^{-1} r on the assembled interface,
+        for one residual (n_gamma,) or a block of them (n_gamma, k)."""
+        b = self._scatter @ r_gamma
+        y = np.empty_like(b)
+        run_groups(partial(self._solve_group, b=b, y=y), self._groups)
+        if not np.isfinite(y).all():
+            bad = next(k for k, sl in enumerate(self._local) if not np.isfinite(y[sl]).all())
+            raise FactorizationError(
+                f"solve with {self.solvers[bad].factor.label} produced non-finite values"
+            )
+        c = self._ct @ y
+        d = (self._coarse_inv @ (self._restrict @ c))[self._targets]
+        d -= c
+        run_groups(partial(self._extend_group, d=d, y=y), self._groups)
+        return self._assemble @ y
 
     def apply_ED(self, w_bro: np.ndarray) -> np.ndarray:
         """Scaled copy-group averaging on the stacked broken interface."""

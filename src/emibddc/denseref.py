@@ -9,6 +9,8 @@ a few thousand unknowns.
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .bddc import build_scaling
 from .errors import VerificationError
@@ -87,11 +89,30 @@ def difference_rows(dofmap, constraints):
 
 
 def constrained_basis(dofmap, constraints):
-    """Orthonormal basis of the constrained (partially assembled) space."""
+    """Orthonormal basis of the constrained (partially assembled) space.
+
+    The difference rows fall into blocks that share no dof (two dofs are in
+    one block when a chain of rows links them), so the null space is one
+    SVD per block, placed at the block's dofs; the dofs that no row touches
+    come first, as identity columns.
+    """
     rows = difference_rows(dofmap, constraints)
-    if rows.shape[0] == 0:
-        return np.eye(dofmap.n_broken)
-    return sla.null_space(rows)
+    touched = sp.csr_matrix(rows != 0)
+    _, block = connected_components(touched.T @ touched, directed=False)
+    row_block = block[touched.indices[touched.indptr[:-1]]]
+    free = np.flatnonzero(touched.getnnz(axis=0) == 0)
+    pieces = [
+        (dofs, sla.null_space(rows[np.ix_(row_block == b, dofs)]))
+        for b in np.unique(row_block)
+        for dofs in [np.flatnonzero(block == b)]
+    ]
+    z = np.zeros((dofmap.n_broken, len(free) + sum(p.shape[1] for _, p in pieces)))
+    z[free, np.arange(len(free))] = 1.0
+    col = len(free)
+    for dofs, basis in pieces:
+        z[dofs, col:col + basis.shape[1]] = basis
+        col += basis.shape[1]
+    return z
 
 
 def dense_bddc_matrix(dofmap, constraints, local_ops, sigma):

@@ -153,14 +153,19 @@ class SPDSolver:
         return self._solve(rhs)
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=np.float64)
-        squeeze = rhs.ndim == 1
-        out = self._lu.solve(rhs.reshape(self.n, -1))
+        out = self._substitute(rhs)
         if not np.all(np.isfinite(out)):
             raise FactorizationError(
                 f"solve with {self.label or '?'} produced non-finite values"
             )
-        return out[:, 0] if squeeze else out
+        return out
+
+    def _substitute(self, rhs: np.ndarray) -> np.ndarray:
+        """The triangular solves alone, for a caller that checks the
+        results of many factors at once."""
+        rhs = np.asarray(rhs, dtype=np.float64)
+        out = self._lu.solve(rhs.reshape(self.n, -1))
+        return out[:, 0] if rhs.ndim == 1 else out
 
 
 class ConstrainedSolver:
@@ -178,12 +183,12 @@ class ConstrainedSolver:
         Sparse constraint rows (``m`` x ``n``).
 
     :meth:`solve` returns the solution for a load and constraint targets.
-    Its two phases are private kernels that worker threads may call:
-    :meth:`_multipliers` (the sparse solve, ``Ct y`` and the coarse
-    residual ``Q^T Ct y``) and :meth:`_correct` (one dense product with
-    ``V = W H^{-1}``).  ``q`` is ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows
-    with the pin, else ``m``); its first ``m`` rows are the energy of the
-    extensions of the unit targets.
+    The pieces of a solve are public for callers that stack them over many
+    solvers: ``factor``, ``ct`` (``Ct``, the constraint rows and the pin
+    row), ``v`` (``V = W H^{-1}``, at the kept rows after :meth:`compress`)
+    and ``q``, ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows with the pin, else
+    ``m``), whose first ``m`` rows are the energy of the extensions of the
+    unit targets.
     """
 
     def __init__(self, factor: SPDSolver, constraints, label=""):
@@ -199,15 +204,14 @@ class ConstrainedSolver:
         self._rho = factor.rho
         if self._rho:
             pin_row = sp.coo_matrix(([1.0], ([0], [0])), shape=(1, self.n)).tocsr()
-            self._ct = sp.vstack([constraints, pin_row]).tocsr()
+            self.ct = sp.vstack([constraints, pin_row]).tocsr()
         else:
-            self._ct = constraints
+            self.ct = constraints
 
-        self._mt = self._ct.shape[0]
-        self._spd = factor
+        self.factor = factor
         self._rows = None
-        w = self._spd.solve(self._ct.T.toarray())
-        h = self._ct @ w
+        w = factor.solve(self.ct.T.toarray())
+        h = self.ct @ w
         if self._rho:
             h[-1, -1] -= 1.0 / self._rho
         try:
@@ -224,8 +228,7 @@ class ConstrainedSolver:
             raise FactorizationError(
                 f"dependent constraint rows for {label or '?'}"
             )
-        self.q = sla.lu_solve(h_lu, np.eye(self._mt, self.m))
-        self._qt = np.ascontiguousarray(self.q.T)
+        self.q = sla.lu_solve(h_lu, np.eye(self.ct.shape[0], self.m))
         # V = W H^{-1} as H^T V^T = W^T, written over W one block of rows at
         # a time through a row-major copy (LAPACK takes the rows of W as
         # columns).  One whole-height block raised the peak RSS of the
@@ -233,33 +236,22 @@ class ConstrainedSolver:
         for r in range(0, self.n, _FOLD_ROWS):
             block = np.ascontiguousarray(w[r:r + _FOLD_ROWS])
             w[r:r + _FOLD_ROWS] = sla.lu_solve(h_lu, block.T, trans=1, overwrite_b=True).T
-        self._v = w
+        self.v = w
 
     def compress(self, rows: np.ndarray):
         """Keep ``V`` only at ``rows`` (``V[rows]`` is ``W[rows] H^{-1}``);
         later solves return the solution restricted to those rows."""
         self._rows = np.asarray(rows, dtype=np.int64)
-        self._v = np.ascontiguousarray(self._v[self._rows])
+        self.v = np.ascontiguousarray(self.v[self._rows])
 
     def solve(self, rhs: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
         """Energy minimizer for the load ``rhs`` subject to ``C u = targets``
         (zero when omitted): one vector, or a block of columns in both."""
-        y, lam = self._multipliers(rhs)
-        g = np.zeros((self.m,) + y.shape[1:]) if targets is None else targets
-        return self._correct(y, lam, np.asarray(g, dtype=np.float64))
-
-    def _multipliers(self, rhs: np.ndarray):
-        """Phase one: ``y`` at the kept rows, and ``lam``, the coarse
-        residual ``Q^T Ct y`` (the leading dual multipliers) stacked on
-        ``Ct y``."""
-        y = self._spd._solve(rhs)
-        c = self._ct @ y
-        lam = np.concatenate((self._qt @ c, c))
-        return (y if self._rows is None else y[self._rows]), lam
-
-    def _correct(self, y: np.ndarray, lam: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Phase two, in place: ``y += V ([g; 0] - Ct y)``; returns ``y``."""
-        d = -lam[self.m:]
-        d[: self.m] += targets
-        y += self._v @ d
+        y = self.factor.solve(rhs)
+        d = -(self.ct @ y)
+        if targets is not None:
+            d[: self.m] += targets
+        if self._rows is not None:
+            y = y[self._rows]
+        y += self.v @ d
         return y

@@ -112,6 +112,13 @@ def _assert_apply_matches_dense(problem):
             z_dense = proj(m_dense @ r)
             err = np.linalg.norm(z - z_dense) / np.linalg.norm(z_dense)
             assert err < 1e-9
+        # the same as one block of columns
+        block = np.column_stack([proj(rng.standard_normal(problem.dofmap.n_gamma)) for _ in range(3)])
+        z = pc.apply(block)
+        for j in range(3):
+            z_dense = proj(m_dense @ block[:, j])
+            err = np.linalg.norm(proj(z[:, j]) - z_dense) / np.linalg.norm(z_dense)
+            assert err < 1e-9
 
 
 def test_apply_matches_dense_oracle(problem_2cell):
@@ -131,6 +138,37 @@ def test_apply_is_symmetric(problem_2cell, precond_2cell_vef):
         a = x @ precond_2cell_vef.apply(y)
         b = y @ precond_2cell_vef.apply(x)
         npt.assert_allclose(a, b, rtol=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["vef", "ve"])
+def test_block_apply_matches_single_applies(problem_2cell, patch_mesh, variant):
+    """A block of three residuals gives the three single applies."""
+    for problem in (problem_2cell, _problem_on("patch", patch_mesh)):
+        pc = make_preconditioner(problem, variant)
+        block = np.random.default_rng(25).standard_normal((problem.dofmap.n_gamma, 3))
+        z = pc.apply(block)
+        assert z.shape == block.shape
+        for j in range(3):
+            single = pc.apply(block[:, j])
+            npt.assert_allclose(z[:, j], single, rtol=0, atol=1e-13 * np.abs(single).max())
+
+
+def test_non_finite_solve_names_substructure(problem_2cell):
+    """A factor whose solves produce NaN makes the apply raise, naming the
+    first substructure at fault."""
+    pc = make_preconditioner(problem_2cell, "vef")
+    r = np.random.default_rng(26).standard_normal(problem_2cell.dofmap.n_gamma)
+    # the factors belong to the shared problem: the instance attributes go
+    # again afterwards (monkeypatch would leave bound methods behind)
+    factors = [solver.factor for solver in pc.solvers[1:]]
+    try:
+        for factor in factors:
+            factor._substitute = lambda rhs: np.full(np.shape(rhs), np.nan)
+        with pytest.raises(FactorizationError, match="substructure 1 dual block"):
+            pc.apply(r)
+    finally:
+        for factor in factors:
+            del factor._substitute
 
 
 def test_zero_residual_zero_correction(precond_2cell_vef, problem_2cell):
@@ -158,10 +196,10 @@ def test_coarse_space_ordering(problem_2cell, precond_2cell_vef, precond_2cell_v
     assert precond_2cell_ve.coarse_dim < precond_2cell_vef.coarse_dim
 
 
-def _coarse_basis(pc, ss, lo):
+def _coarse_basis(pc, lo):
     """The energy-minimal coarse basis of one substructure on all its local
     dofs: no load and unit targets, from an uncompressed solver."""
-    rows = pc.constraints.rows_of(ss.sub)
+    rows = pc.constraints.rows_of(lo.sub)
     c = np.zeros((len(rows), lo.matrix.shape[0]))
     for r, (_, row) in enumerate(rows):
         c[r, row.local_dofs] = row.weights
@@ -182,12 +220,13 @@ def test_coarse_basis_interpolates_constraints(problem_2cell, patch_mesh, patch_
     for dm, topo, ops, variant in setups:
         cs = build_primal_constraints(dm, topo, variant)
         pc = BddcPreconditioner(dm, cs, ops.local_ops, ops.sigma)
-        for ss, lo in zip(pc.subs, ops.local_ops):
+        for lo in ops.local_ops:
             n_i = lo.n_interior
-            psi_gamma = _coarse_basis(pc, ss, lo)[n_i:]
-            for c, (cid, row) in enumerate(cs.rows_of(ss.sub)):
+            psi_gamma = _coarse_basis(pc, lo)[n_i:]
+            rows = cs.rows_of(lo.sub)
+            for c, (cid, row) in enumerate(rows):
                 applied = psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
-                expected = np.zeros(len(ss.class_ids))
+                expected = np.zeros(len(rows))
                 expected[c] = 1.0
                 npt.assert_allclose(applied, expected, atol=1e-10)
 
@@ -291,11 +330,12 @@ def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypa
 
     if which == "patch":
         # C psi hits its targets: unit on its own class, zero on the others
-        for ss, lo in zip(reused.subs, problem.operators.local_ops):
+        for lo in problem.operators.local_ops:
             n_i = lo.n_interior
-            psi_gamma = _coarse_basis(reused, ss, lo)[n_i:]
-            expected = np.eye(len(ss.class_ids))
-            for c, (_, row) in enumerate(cs.rows_of(ss.sub)):
+            psi_gamma = _coarse_basis(reused, lo)[n_i:]
+            rows = cs.rows_of(lo.sub)
+            expected = np.eye(len(rows))
+            for c, (_, row) in enumerate(rows):
                 got = psi_gamma[np.asarray(row.local_dofs) - n_i].T @ row.weights
                 npt.assert_allclose(got, expected[c], rtol=0, atol=1e-12)
 
@@ -303,10 +343,12 @@ def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypa
 @pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
 def test_coarse_operator_and_residual_from_multipliers(which, patch_mesh):
     """The coarse block each substructure keeps, Q[:m], is psi^T K psi of
-    its coarse basis with the pin taken out again, and the leading
-    multipliers of the first apply phase are the coarse residual
-    psi_Gamma^T r.  Entries that vanish in exact arithmetic carry only
-    round-off, so both compare relative to their largest entry."""
+    its coarse basis with the pin taken out again, and the stacked coarse
+    restriction of the constraint values of a load response,
+    rho = R (Ct y), is the coarse residual psi_Gamma^T r at the
+    substructure's classes and zero elsewhere.  Entries that vanish in
+    exact arithmetic carry only round-off, so both compare relative to
+    their largest entry."""
 
     def assert_close(actual, desired):
         npt.assert_allclose(actual, desired, rtol=0, atol=1e-10 * np.abs(desired).max())
@@ -314,15 +356,17 @@ def test_coarse_operator_and_residual_from_multipliers(which, patch_mesh):
     problem = _problem_on(which, patch_mesh)
     pc = make_preconditioner(problem, "vef")
     rng = np.random.default_rng(32)
-    for ss, lo in zip(pc.subs, problem.operators.local_ops):
-        n_i, m = lo.n_interior, len(ss.class_ids)
-        psi = _coarse_basis(pc, ss, lo)
-        assert_close(ss.coarse_matrix, psi.T @ (lo.matrix @ psi))
+    for lo, solver, local in zip(problem.operators.local_ops, pc.solvers, pc._local):
+        n_i = lo.n_interior
+        ids = [cid for cid, _ in pc.constraints.rows_of(lo.sub)]
+        psi = _coarse_basis(pc, lo)
+        assert_close(solver.q[: len(ids)], psi.T @ (lo.matrix @ psi))
         r = rng.standard_normal(psi.shape[0] - n_i)
-        b = np.zeros(psi.shape[0])
-        b[n_i:] = r
-        _, lam = ss.solver._multipliers(b)
-        assert_close(lam[:m], psi[n_i:].T @ r)
+        y = np.zeros(pc._ct.shape[1])
+        y[local] = lo.neumann.solve(np.concatenate([np.zeros(n_i), r]))
+        expected = np.zeros(pc.coarse_dim)
+        expected[ids] = psi[n_i:].T @ r
+        assert_close(pc._restrict @ (pc._ct @ y), expected)
 
 
 def test_repeated_vertex_row_rejected(patch_mesh):

@@ -56,29 +56,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.750045197188557,
-                "polylog_model": 4.750045197188557,
+                "kappa_est": 4.750045197188777,
+                "polylog_model": 4.750045197188777,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.748551125994644,
-                "polylog_model": 4.748551125994644,
+                "kappa_est": 4.748551125993684,
+                "polylog_model": 4.748551125993684,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
-                "kappa_est": 4.992188575565289,
-                "polylog_model": 7.9103124895635215,
+                "kappa_est": 4.992188575565377,
+                "polylog_model": 7.910312489563887,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
-                "kappa_est": 4.990672350718379,
-                "polylog_model": 7.90782439323288,
+                "kappa_est": 4.990672350718377,
+                "polylog_model": 7.907824393231281,
             },
         ],
     ),
@@ -96,9 +96,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.732510532570967,
-            "kappa_mean": 4.741763157572546,
-            "kappa_max": 4.750045197188557,
+            "kappa_min": 4.732510532571219,
+            "kappa_mean": 4.741763157572566,
+            "kappa_max": 4.750045197188777,
         },
     ),
     "random_sigma": (
@@ -115,9 +115,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.7042829513095867,
-            "kappa_mean": 2.8613912996326634,
-            "kappa_max": 3.113716890330353,
+            "kappa_min": 2.704282951309603,
+            "kappa_mean": 2.8613912996326625,
+            "kappa_max": 3.113716890330326,
         },
     ),
     "random_sigma_convex": (
@@ -130,9 +130,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 10.5,
             "iter_max": 11.0,
-            "kappa_min": 2.640509130506616,
-            "kappa_mean": 2.71063022495591,
-            "kappa_max": 2.7807513194052045,
+            "kappa_min": 2.640509130506593,
+            "kappa_mean": 2.7106302249558967,
+            "kappa_max": 2.7807513194052005,
         },
     ),
 }

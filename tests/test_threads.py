@@ -10,6 +10,7 @@ import pytest
 
 from emibddc import _threads
 from emibddc.assembly import ModelParams
+from emibddc.bddc import BddcPreconditioner
 from emibddc.errors import FactorizationError
 from emibddc.femspace import DofMap
 from emibddc.geometry import MeshConfig
@@ -33,7 +34,7 @@ def _solve(problem, precond, f):
 def _two_groups(precond):
     """Substructure 0 alone and all others, so that a worker thread runs even
     on one core."""
-    return [[0], list(range(1, len(precond.subs)))]
+    return [[0], list(range(1, len(precond.solvers)))]
 
 
 def test_partition_is_greedy_largest_first():
@@ -61,22 +62,23 @@ def test_run_groups_waits_and_raises_first_error_in_group_order():
 
 @pytest.mark.parametrize("variant", ["vef", "ve"])
 def test_threaded_applies_match_one_group(grid_problem, variant):
-    """The M-apply and a whole solve give the same bits for the default
-    groups, two groups and one group."""
+    """The M-apply of a vector and of a block and a whole solve give the
+    same bits for the default groups, two groups and one group."""
     problem = grid_problem
     precond = make_preconditioner(problem, variant)
     rng = np.random.default_rng(5)
     v = rng.standard_normal(problem.schur.n)
+    block = rng.standard_normal((problem.schur.n, 3))
     f = random_rhs(problem, rng)
 
     def results():
         u, report = _solve(problem, precond, f)
-        return precond.apply(v), u, report.iterations, report.kappa_est
+        return (precond.apply(v), precond.apply(block)), u, report.iterations, report.kappa_est
 
     layouts = {
         "default": precond._groups,
         "two": _two_groups(precond),
-        "one": [list(range(len(precond.subs)))],
+        "one": [list(range(len(precond.solvers)))],
     }
     got = {}
     try:
@@ -88,7 +90,7 @@ def test_threaded_applies_match_one_group(grid_problem, variant):
     for name in ("default", "two"):
         m, u, its, kappa = got[name]
         m1, u1, its1, kappa1 = got["one"]
-        assert np.array_equal(m, m1), name
+        assert all(np.array_equal(a, b) for a, b in zip(m, m1)), name
         assert np.array_equal(u, u1) and its == its1 and kappa == kappa1, name
 
 
@@ -101,7 +103,7 @@ def test_one_group_per_substructure_under_fast_switching(grid_problem):
     default = precond._groups
     interval = sys.getswitchinterval()
     try:
-        precond._groups = [[k] for k in range(len(precond.subs))]
+        precond._groups = [[k] for k in range(len(precond.solvers))]
         sys.setswitchinterval(1e-6)
         for _ in range(20):
             assert np.array_equal(precond.apply(v), expected)
@@ -116,7 +118,7 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     precond = make_preconditioner(problem_2cell, "vef")
     monkeypatch.setattr(precond, "_groups", _two_groups(precond))
 
-    public, private, corrections = [], [], []
+    public, solves, corrections = [], [], []
     for cls, name, log in (
         (SPDSolver, "solve", public),
         (ConstrainedSolver, "solve", public),
@@ -124,8 +126,8 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
         (SchurSystem, "reduce_rhs", public),
         (SchurSystem, "recover_interior", public),
         (DofMap, "gamma_slice", public),
-        (SPDSolver, "_solve", private),
-        (ConstrainedSolver, "_correct", corrections),
+        (SPDSolver, "_substitute", solves),
+        (BddcPreconditioner, "_extend_group", corrections),
     ):
         def record(*args, _fn=getattr(cls, name), _log=log, **kwargs):
             _log.append(threading.current_thread() is threading.main_thread())
@@ -137,18 +139,16 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     _solve(problem_2cell, precond, f)
     assert public and all(public)
     # the private kernels of both M-apply phases did run on a worker too
-    assert not all(private) and not all(corrections)
+    assert not all(solves) and not all(corrections)
 
 
 @pytest.mark.parametrize("which", ["bddc", "bddc-coarse"])
 def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
     """A FactorizationError raised in a worker group comes out of the apply
     as itself, and the next apply works and gives the same result.  The
-    M-apply is hit in both of its phases: the constrained Neumann solve
-    and the coarse correction."""
+    M-apply is hit in both of its pooled steps: the Neumann solve and the
+    V product of substructure 1."""
     precond = make_preconditioner(problem_2cell, "vef")
-    target = precond.subs[1].solver
-    kernel = "_multipliers" if which == "bddc" else "_correct"
     monkeypatch.setattr(precond, "_groups", _two_groups(precond))
     v = np.random.default_rng(3).standard_normal(problem_2cell.schur.n)
     expected = precond.apply(v)
@@ -159,9 +159,23 @@ def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
         threads.append(threading.current_thread() is threading.main_thread())
         raise FactorizationError("injected failure")
 
-    setattr(target, kernel, broken)
-    with pytest.raises(FactorizationError, match="injected failure"):
-        precond.apply(v)
+    class BrokenV:
+        __matmul__ = broken
+
+    # an instance attribute over the factor's method, or over the solver's V
+    target, name = (
+        (precond.solvers[1].factor, "_substitute") if which == "bddc"
+        else (precond.solvers[1], "v")
+    )
+    saved = vars(target).get(name)
+    setattr(target, name, broken if which == "bddc" else BrokenV())
+    try:
+        with pytest.raises(FactorizationError, match="injected failure"):
+            precond.apply(v)
+    finally:
+        if saved is None:
+            delattr(target, name)
+        else:
+            setattr(target, name, saved)
     assert threads == [False]
-    delattr(target, kernel)
     assert np.array_equal(precond.apply(v), expected)

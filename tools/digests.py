@@ -27,8 +27,9 @@ meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
 ``gamma_global``, the global step matrix K, and every substructure's
 ``local_to_global`` and local operator matrix, the interface operator applied to a seeded vector, and
 the reduced load and the recovered solution for a seeded compatible
-load; per primal space the preconditioner applied to the same vector,
-every substructure's ``Q = H^{-1} [I_m; 0]`` (its multiplier system
+load; per primal space the preconditioner applied to the same vector
+and to a seeded block of three columns (the block path), every
+substructure's ``Q = H^{-1} [I_m; 0]`` (its multiplier system
 solved for unit targets, whose leading rows are its block of the coarse
 matrix), the coarse matrix, and one ``solve_interface`` of the seeded
 load at the studies' default ``tol`` and ``maxiter`` (the recovered
@@ -191,6 +192,7 @@ def main(argv=None) -> int:
         rng = np.random.default_rng(SEED)
         v = rng.standard_normal(dm.n_gamma)
         f = random_rhs(problem, rng)
+        block = rng.standard_normal((dm.n_gamma, 3))
         out.hashed(f"{name} schur_apply", lambda: (problem.schur.apply(v),))
         out.hashed(f"{name} reduce_rhs", lambda: (problem.schur.reduce_rhs(f),))
         out.hashed(f"{name} recover_interior", lambda: (problem.schur.recover_interior(v, f),))
@@ -200,8 +202,9 @@ def main(argv=None) -> int:
             if pc is None:
                 continue
             out.hashed(f"{tag} bddc_apply", lambda: (pc.apply(v),))
-            for ss in pc.subs:
-                out.hashed(f"{tag} Q[{ss.sub}]", lambda: (ss.solver.q,))
+            out.hashed(f"{tag} bddc_apply_block", lambda: (pc.apply(block),))
+            for lo, solver in zip(ops.local_ops, pc.solvers):
+                out.hashed(f"{tag} Q[{lo.sub}]", lambda: (solver.q,))
             out.hashed(f"{tag} coarse_matrix", lambda: (pc._s_pp,))
             out.hashed(f"{tag} solve", lambda: solved(problem, pc, f))
     return 0
