@@ -125,11 +125,7 @@ class BddcPreconditioner:
         self.delta = build_scaling(dofmap, sigma)
         self.coarse_dim = n = constraints.coarse_dim
 
-        self.solvers = []
-        s_pp = np.zeros((n, n))
-        pos = np.empty(dofmap.n_broken, dtype=np.int64)
-        local_ptr, row_ptr = [0], [0]
-        targets, r_rows, r_cols, r_vals = [], [], [], []
+        self.solvers, class_ids = [], []
         for lo in local_ops:
             rows = constraints.rows_of(lo.sub)
             if not rows:
@@ -146,17 +142,26 @@ class BddcPreconditioner:
             # applies only ever need interface rows of the solution
             solver.compress(np.arange(lo.n_interior, n_loc))
             self.solvers.append(solver)
+            class_ids.append(np.array([cid for cid, _ in rows], dtype=np.int64))
 
-            ids = np.array([cid for cid, _ in rows], dtype=np.int64)
+        # psi^T K psi of the energy-minimal coarse basis psi = W Q
+        self._s_pp = s_pp = np.zeros((n, n))
+        for solver, ids in zip(self.solvers, class_ids):
+            s_pp[np.ix_(ids, ids)] += solver.q[: len(ids)]
+        self._coarse_inv = self._coarse_pseudo_inverse(s_pp)
+
+        # the stacked operators, after the coarse inverse: their transients never meet
+        pos = np.empty(dofmap.n_broken, dtype=np.int64)
+        local_ptr, row_ptr = [0], [0]
+        targets, r_rows, r_cols, r_vals = [], [], [], []
+        for lo, solver, ids in zip(local_ops, self.solvers, class_ids):
             m, mt = len(ids), solver.ct.shape[0]
-            # psi^T K psi of the energy-minimal coarse basis psi = W Q
-            s_pp[np.ix_(ids, ids)] += solver.q[:m]
             r_rows.append(np.repeat(ids, mt))
             r_cols.append(row_ptr[-1] + np.tile(np.arange(mt), m))
             r_vals.append(solver.q.T.ravel())
             targets.append(np.concatenate([ids, np.full(mt - m, n)]))
-            pos[dofmap.gamma_slice(lo.sub)] = local_ptr[-1] + np.arange(lo.n_interior, n_loc)
-            local_ptr.append(local_ptr[-1] + n_loc)
+            pos[dofmap.gamma_slice(lo.sub)] = local_ptr[-1] + np.arange(lo.n_interior, solver.n)
+            local_ptr.append(local_ptr[-1] + solver.n)
             row_ptr.append(row_ptr[-1] + mt)
 
         self._local = [slice(a, b) for a, b in zip(local_ptr, local_ptr[1:])]
@@ -172,8 +177,6 @@ class BddcPreconditioner:
             shape=(n, row_ptr[-1]),
         )
         self._targets = np.concatenate(targets)
-        self._s_pp = s_pp
-        self._coarse_inv = self._coarse_pseudo_inverse(s_pp)
         self._groups = partition([s.factor.nnz for s in self.solvers])
 
     @staticmethod

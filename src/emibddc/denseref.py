@@ -10,7 +10,6 @@ a few thousand unknowns.
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .bddc import build_scaling
 from .errors import VerificationError
@@ -96,6 +95,9 @@ def constrained_basis(dofmap, constraints):
     SVD per block, placed at the block's dofs; the dofs that no row touches
     come first, as identity columns.
     """
+    # imported here: csgraph adds ~3 MiB to every process that imports the package
+    from scipy.sparse.csgraph import connected_components
+
     rows = difference_rows(dofmap, constraints)
     touched = sp.csr_matrix(rows != 0)
     _, block = connected_components(touched.T @ touched, directed=False)
