@@ -1,17 +1,12 @@
 """Balancing domain decomposition by constraints for the interface system.
 
 The preconditioner works on the assembled interface unknowns of the reduced
-(interior-eliminated) step operator.  One application consists of
-
-1. scaled restriction of the residual into the stacked broken interface
-   (every copy group shares the residual by conductivity weights),
-2. independent constrained Neumann solves per substructure, where the primal
-   averages are forced to zero (the *dual* correction); the multipliers of
-   each solve carry its part of the coarse residual,
-3. one coarse solve in the primal class space with the dense coarse
-   operator, whose solution each substructure extends by energy-minimal
-   local basis functions (the *coarse* correction),
-4. scaled prolongation back to the assembled interface.
+(interior-eliminated) step operator.  One application restricts the
+residual to the broken interface by conductivity weights, adds the
+constrained Neumann solves of every substructure with its primal averages
+held at zero (the *dual* correction) to the energy-minimal extension of one
+coarse solve in the primal class space (the *coarse* correction), and
+prolongs the sum back by the same weights.
 
 Every primal class -- vertex, edge or face -- is a set of constraint rows,
 one per substructure that holds a copy of the averaged values; a vertex row
