@@ -46,26 +46,21 @@ is one call over all substructures but the sparse solves and the ``V``
 products, no step makes a LAPACK call, and the residual may be one vector
 or a block of columns.
 
-The sparse solves and the ``V`` products run on one thread per core
-(:mod:`emibddc._threads`), in groups of similar Neumann factor size fixed
-at construction.  A worker writes only its substructures' slices of the
-stacked vector and calls only private kernels (``_solve_group``,
-``_extend_group``, ``SPDSolver._substitute``), so the result is
-bit-identical for any core count and a tracer that wraps the public API
-sees every span on the calling thread.  The solves are checked for
-non-finite values once, after all of them, naming the first substructure
-at fault.
+The sparse solves and the ``V`` products run substructure by substructure
+on the calling thread, each writing only its own slices of the stacked
+vector, and the solves are checked for non-finite values once, after all
+of them, naming the first substructure at fault.  The package starts no
+thread: scipy's SuperLU runs one solve at a time, so two threads looping
+over solves reached 1.0-1.2x the throughput of one (2-core Linux,
+scipy 1.17), and a two-thread pool made this apply slower.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ._threads import partition, run_groups
 from .errors import ConstraintError, FactorizationError
 from .femspace import ConstraintSet, DofMap
 from .sparsela import ConstrainedSolver
@@ -172,7 +167,6 @@ class BddcPreconditioner:
             shape=(n, row_ptr[-1]),
         )
         self._targets = np.concatenate(targets)
-        self._groups = partition([s.factor.nnz for s in self.solvers])
 
     @staticmethod
     def _coarse_pseudo_inverse(s_pp: np.ndarray) -> np.ndarray:
@@ -193,21 +187,13 @@ class BddcPreconditioner:
         inv -= inv.mean(axis=1)[:, None]
         return np.vstack([inv, np.zeros(n)])
 
-    def _solve_group(self, group, b, y):
-        for k in group:
-            sl = self._local[k]
-            y[sl] = self.solvers[k].factor._substitute(b[sl])
-
-    def _extend_group(self, group, d, y):
-        for k in group:
-            y[self._iface[k]] += self.solvers[k].v @ d[self._rows[k]]
-
     def apply(self, r_gamma: np.ndarray) -> np.ndarray:
         """Preconditioned residual z = M^{-1} r on the assembled interface,
         for one residual (n_gamma,) or a block of them (n_gamma, k)."""
-        b = self._scatter @ r_gamma
-        y = np.empty_like(b)
-        run_groups(partial(self._solve_group, b=b, y=y), self._groups)
+        y = self._scatter @ r_gamma
+        for solver, sl in zip(self.solvers, self._local):
+            # the solve copies its input, so it may overwrite it
+            y[sl] = solver.factor._substitute(y[sl])
         if not np.isfinite(y).all():
             bad = next(k for k, sl in enumerate(self._local) if not np.isfinite(y[sl]).all())
             raise FactorizationError(
@@ -216,7 +202,8 @@ class BddcPreconditioner:
         c = self._ct @ y
         d = (self._coarse_inv @ (self._restrict @ c))[self._targets]
         d -= c
-        run_groups(partial(self._extend_group, d=d, y=y), self._groups)
+        for solver, sl, rows in zip(self.solvers, self._iface, self._rows):
+            y[sl] += solver.v @ d[rows]
         return self._assemble @ y
 
     def apply_ED(self, w_bro: np.ndarray) -> np.ndarray:

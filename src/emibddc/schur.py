@@ -22,11 +22,10 @@ workload the stored entries are equal (55,232 on ``rhs-stream``).  The
 S-apply, the reduced load and the interior recovery are sparse products
 around one solve with it, and take a vector or a block of columns alike.
 
-The interior solve has no thread pool.  One SuperLU solve cannot be split
-across threads, and per-substructure factors on the pool
-(:mod:`emibddc._threads`) spent more in per-call overhead than the small
-cell solves cost: on ``rhs-stream`` (2 cores, median of 200 calls) an
-S-apply took 1.3-1.8 ms that way, against 0.46-0.52 ms with the one factor.
+One factor of all interiors replaced one factor per substructure, solved
+on a thread pool: on ``rhs-stream`` (2 cores, median of 200 calls) an
+S-apply took 1.3-1.8 ms that way, against 0.46-0.52 ms with the one factor
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -84,11 +83,11 @@ class SchurSystem:
 
     def apply(self, v_gamma: np.ndarray) -> np.ndarray:
         """Assembled interface operator times an assembled vector or block."""
-        return self.k_gg @ v_gamma - self.k_gi @ self.interior._solve(self.k_ig @ v_gamma)
+        return self.k_gg @ v_gamma - self.k_gi @ self.interior.solve(self.k_ig @ v_gamma)
 
     def reduce_rhs(self, f: np.ndarray) -> np.ndarray:
         """Interface right-hand side f_g - K_gI K_II^{-1} f_I (assembled)."""
-        corr = self.k_gi @ self.interior._solve(f[self.interior_ids])
+        corr = self.k_gi @ self.interior.solve(f[self.interior_ids])
         return f[self.dofmap.gamma_global] - corr
 
     def recover_interior(self, u_gamma: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -97,7 +96,7 @@ class SchurSystem:
         u = np.zeros(dm.n_global)
         u[dm.gamma_global] = u_gamma
         ids = self.interior_ids
-        u[ids] = self.interior._solve(f[ids] - self.k_ig @ u_gamma)
+        u[ids] = self.interior.solve(f[ids] - self.k_ig @ u_gamma)
         return u
 
 

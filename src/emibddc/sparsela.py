@@ -128,31 +128,12 @@ class SPDSolver:
         SuperLU builds ``L`` and ``U`` as new CSC copies of its supernodal
         storage on every call, so this costs time and memory in proportion
         to the fill: a diagnostic, never to be read in set-up or in an
-        apply.  (Grouping the substructures for the threaded applies by
-        ``fill`` instead of :attr:`nnz` raised the peak RSS of the
-        ``convex-h12`` benchmark workload from 277 to 457 MiB.)
-        :attr:`nnz` is the O(1) count to use there.
+        apply.
         """
         return self._lu.L.nnz + self._lu.U.nnz
 
-    @property
-    def nnz(self) -> int:
-        """SuperLU's own count of stored factor entries, read in O(1).
-
-        It counts supernodal storage, padding included, so it reads above
-        :attr:`fill`: by 3-15% on the bath Neumann factors of the benchmark
-        workloads (1,165,552 against 1,127,085 on ``rhs-stream``,
-        11,517,222 against 10,104,944 on ``convex-h12``) and by about 30%
-        on the small cell factors of ``cellgrid-h12``.  It still ranks
-        factors by solve cost, which is what it is used for.
-        """
-        return self._lu.nnz
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one vector (n,) or a block of right-hand sides (n, k)."""
-        return self._solve(rhs)
-
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
         out = self._substitute(rhs)
         if not np.all(np.isfinite(out)):
             raise FactorizationError(

@@ -210,13 +210,13 @@ def test_extend_takes_no_sparse_solve(monkeypatch):
     b = rng.standard_normal((n, 4))
     g = rng.standard_normal((m, 4))
     calls = []
-    original = SPDSolver._solve
+    original = SPDSolver.solve
 
     def counting(self, rhs):
         calls.append(rhs.shape)
         return original(self, rhs)
 
-    monkeypatch.setattr(SPDSolver, "_solve", counting)
+    monkeypatch.setattr(SPDSolver, "solve", counting)
     loaded = solver.solve(b)
     u = solver.solve(b, g)
     single = solver.solve(b[:, 2], g[:, 2])
