@@ -50,9 +50,11 @@ The sparse solves and the ``V`` products run substructure by substructure
 on the calling thread, each writing only its own slices of the stacked
 vector, and the solves are checked for non-finite values once, after all
 of them, naming the first substructure at fault.  The package starts no
-thread: scipy's SuperLU runs one solve at a time, so two threads looping
-over solves reached 1.0-1.2x the throughput of one (2-core Linux,
-scipy 1.17), and a two-thread pool made this apply slower.
+thread.  A two-thread pool over these loops gave no steady gain on a
+shared 2-core host (scipy 1.17).  SuperLU solves overlapped on two
+threads only for a large factor, of which an apply has at most one, and
+on the ``cellgrid-h12`` benchmark workload the pool's gain came and went
+with the host's load.
 """
 
 from __future__ import annotations

@@ -22,10 +22,10 @@ workload the stored entries are equal (55,232 on ``rhs-stream``).  The
 S-apply, the reduced load and the interior recovery are sparse products
 around one solve with it, and take a vector or a block of columns alike.
 
-One factor of all interiors replaced one factor per substructure, solved
-on a thread pool: on ``rhs-stream`` (2 cores, median of 200 calls) an
-S-apply took 1.3-1.8 ms that way, against 0.46-0.52 ms with the one factor
-on the calling thread.
+One factor of all interiors costs far less per call than one factor per
+substructure: on ``rhs-stream`` (2 cores, median of 200 calls) an S-apply
+took 0.46-0.52 ms with it, against 1.3-1.8 ms with per-substructure
+factors solved on a thread pool.
 """
 
 from __future__ import annotations
