@@ -48,16 +48,25 @@ or a block of columns.
 
 The sparse solves and the ``V`` products run substructure by substructure
 on the calling thread, each writing only its own slices of the stacked
-vector, and the solves are checked for non-finite values once, after all
-of them, naming the first substructure at fault.  The package starts no
-thread.  A two-thread pool over these loops gave no steady gain on a
-shared 2-core host (scipy 1.17).  SuperLU solves overlapped on two
-threads only for a large factor, of which an apply has at most one, and
-on the ``cellgrid-h12`` benchmark workload the pool's gain came and went
-with the host's load.
+vector, except for one solve: on a host with more than one core, the
+solve with the largest Neumann factor runs on one extra thread beside the
+others when that factor holds at least ``OVERLAP_NNZ`` entries.  SuperLU
+releases the GIL inside a solve, so that long solve overlaps the short
+ones; on a shared 2-core host (scipy 1.17) two threads looping solves
+reached 1.74-1.84x one thread's throughput on a 3.0M-entry bath factor
+(``cellgrid-h12``) but 0.99-1.46x on a 1.07M-entry one (``rhs-stream``),
+and deleting the overlap made ``cellgrid-h12``'s solves 24% and 43%
+slower than with it in two of three benchmark batches.  The thread calls
+only the private ``SPDSolver._substitute``, so a tracer that wraps the
+public API sees every span on the calling thread, and the result is
+bit-identical either way.  The solves are checked for non-finite values
+once, after all of them, naming the first substructure at fault.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.linalg as sla
@@ -68,6 +77,14 @@ from .femspace import ConstraintSet, DofMap
 from .sparsela import ConstrainedSolver
 
 __all__ = ["build_scaling", "BddcPreconditioner"]
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# stored entries (SPDSolver.nnz) from which the largest solve gets its own thread
+OVERLAP_NNZ = 2_000_000
+
+# its thread starts on the first submit, so a host that never overlaps starts none
+_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="emibddc")
 
 
 def build_scaling(dofmap: DofMap, sigma: np.ndarray) -> np.ndarray:
@@ -169,6 +186,9 @@ class BddcPreconditioner:
             shape=(n, row_ptr[-1]),
         )
         self._targets = np.concatenate(targets)
+        nnz = [s.factor.nnz for s in self.solvers]
+        big = int(np.argmax(nnz))
+        self._big = big if CORES > 1 and nnz[big] >= OVERLAP_NNZ else None
 
     @staticmethod
     def _coarse_pseudo_inverse(s_pp: np.ndarray) -> np.ndarray:
@@ -189,13 +209,27 @@ class BddcPreconditioner:
         inv -= inv.mean(axis=1)[:, None]
         return np.vstack([inv, np.zeros(n)])
 
+    def _solve_one(self, k: int, y: np.ndarray) -> None:
+        sl = self._local[k]
+        # the solve copies its input, so it may overwrite it
+        y[sl] = self.solvers[k].factor._substitute(y[sl])
+
     def apply(self, r_gamma: np.ndarray) -> np.ndarray:
         """Preconditioned residual z = M^{-1} r on the assembled interface,
         for one residual (n_gamma,) or a block of them (n_gamma, k)."""
         y = self._scatter @ r_gamma
-        for solver, sl in zip(self.solvers, self._local):
-            # the solve copies its input, so it may overwrite it
-            y[sl] = solver.factor._substitute(y[sl])
+        big = self._big
+        pending = None if big is None else _POOL.submit(self._solve_one, big, y)
+        try:
+            for k in range(len(self.solvers)):
+                if k != big:
+                    self._solve_one(k, y)
+        finally:
+            if pending is not None:
+                # the thread writes into y: never go on before it
+                wait((pending,))
+        if pending is not None:
+            pending.result()
         if not np.isfinite(y).all():
             bad = next(k for k, sl in enumerate(self._local) if not np.isfinite(y[sl]).all())
             raise FactorizationError(

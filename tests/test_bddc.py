@@ -171,39 +171,6 @@ def test_non_finite_solve_names_substructure(problem_2cell):
             del factor._substitute
 
 
-@pytest.mark.parametrize("which", ["solve", "extension"])
-def test_substructure_error_reaches_caller(problem_2cell, which):
-    """A FactorizationError raised in substructure 1's Neumann solve or in
-    its V product comes out of the apply as itself, and the next apply
-    gives the same bits as the one before."""
-    precond = make_preconditioner(problem_2cell, "vef")
-    v = np.random.default_rng(3).standard_normal(problem_2cell.schur.n)
-    expected = precond.apply(v)
-
-    def broken(*args):
-        raise FactorizationError("injected failure")
-
-    class BrokenV:
-        __matmul__ = broken
-
-    # an instance attribute over the factor's method, or over the solver's V
-    target, name, stub = (
-        (precond.solvers[1].factor, "_substitute", broken) if which == "solve"
-        else (precond.solvers[1], "v", BrokenV())
-    )
-    saved = vars(target).get(name)
-    setattr(target, name, stub)
-    try:
-        with pytest.raises(FactorizationError, match="injected failure"):
-            precond.apply(v)
-    finally:
-        if saved is None:
-            delattr(target, name)
-        else:
-            setattr(target, name, saved)
-    assert np.array_equal(precond.apply(v), expected)
-
-
 def test_zero_residual_zero_correction(precond_2cell_vef, problem_2cell):
     z = precond_2cell_vef.apply(np.zeros(problem_2cell.dofmap.n_gamma))
     npt.assert_allclose(z, 0.0, atol=1e-15)

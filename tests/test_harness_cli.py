@@ -1,7 +1,6 @@
 import gc
 import io
 import json
-import threading
 import weakref
 
 import numpy as np
@@ -134,14 +133,6 @@ def test_polylog_model_intersects_first_point():
     # doubling H/h raises the bound by ((1+log 8)/(1+log 4))^2
     expected = 5.0 * ((1 + np.log(8)) / (1 + np.log(4))) ** 2
     npt.assert_allclose(polylog_model(5.0, 4, 8), expected, rtol=1e-14)
-
-
-def test_run_experiment_starts_no_thread():
-    """A whole study on the two-cell row runs on the calling thread; the
-    benchmark's tracer keeps one span stack and relies on that."""
-    before = threading.active_count()
-    run_experiment(ExperimentConfig.from_dict({"mesh": {"cells_x": 2}}))
-    assert threading.active_count() == before
 
 
 def test_solve_rows_deterministic_modulo_timing():
