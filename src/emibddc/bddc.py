@@ -48,19 +48,22 @@ or a block of columns.
 
 The sparse solves and the ``V`` products run substructure by substructure
 on the calling thread, each writing only its own slices of the stacked
-vector, except for one solve: on a host with more than one core, the
-solve with the largest Neumann factor runs on one extra thread beside the
-others when that factor holds at least ``OVERLAP_NNZ`` entries.  SuperLU
-releases the GIL inside a solve, so that long solve overlaps the short
-ones; on a shared 2-core host (scipy 1.17) two threads looping solves
-reached 1.74-1.84x one thread's throughput on a 3.0M-entry bath factor
-(``cellgrid-h12``) but 0.99-1.46x on a 1.07M-entry one (``rhs-stream``),
-and deleting the overlap made ``cellgrid-h12``'s solves 24% and 43%
-slower than with it in two of three benchmark batches.  The thread calls
-only the private ``SPDSolver._substitute``, so a tracer that wraps the
-public API sees every span on the calling thread, and the result is
-bit-identical either way.  The solves are checked for non-finite values
-once, after all of them, naming the first substructure at fault.
+vector, but for one overlap: on a host with more than one core, when the
+largest Neumann factor holds at least ``OVERLAP_NNZ`` entries, the
+calling thread solves with it while one extra thread runs the other
+solves.  SuperLU releases the GIL inside a solve, so the long solve
+overlaps the short ones.  On a shared 2-core host (scipy 1.17), two
+threads looping solves reached 1.74-1.84x one thread's throughput on a
+3.0M-entry bath factor (``cellgrid-h12``) but 0.99-1.46x on a
+1.07M-entry one (``rhs-stream``), and without the overlap the
+``cellgrid-h12`` solves were 24% and 43% slower in two of three
+benchmark batches.  The long solve stays on the calling thread, which
+starts it at once: on the extra thread it made ``convex-h12`` 11% slower
+per load.  The thread calls only private kernels (``_solve_each``,
+``SPDSolver._substitute``), so a tracer that wraps the public API sees
+every span on the calling thread, and the result is bit-identical either
+way.  The solves are checked for non-finite values once, after all of
+them, naming the first substructure at fault.
 """
 
 from __future__ import annotations
@@ -209,26 +212,27 @@ class BddcPreconditioner:
         inv -= inv.mean(axis=1)[:, None]
         return np.vstack([inv, np.zeros(n)])
 
-    def _solve_one(self, k: int, y: np.ndarray) -> None:
-        sl = self._local[k]
-        # the solve copies its input, so it may overwrite it
-        y[sl] = self.solvers[k].factor._substitute(y[sl])
+    def _solve_each(self, ks, y: np.ndarray) -> None:
+        for k in ks:
+            sl = self._local[k]
+            # the solve copies its input, so it may overwrite it
+            y[sl] = self.solvers[k].factor._substitute(y[sl])
 
     def apply(self, r_gamma: np.ndarray) -> np.ndarray:
         """Preconditioned residual z = M^{-1} r on the assembled interface,
         for one residual (n_gamma,) or a block of them (n_gamma, k)."""
         y = self._scatter @ r_gamma
         big = self._big
-        pending = None if big is None else _POOL.submit(self._solve_one, big, y)
-        try:
-            for k in range(len(self.solvers)):
-                if k != big:
-                    self._solve_one(k, y)
-        finally:
-            if pending is not None:
+        if big is None:
+            self._solve_each(range(len(self.solvers)), y)
+        else:
+            rest = [k for k in range(len(self.solvers)) if k != big]
+            pending = _POOL.submit(self._solve_each, rest, y)
+            try:
+                self._solve_each((big,), y)
+            finally:
                 # the thread writes into y: never go on before it
                 wait((pending,))
-        if pending is not None:
             pending.result()
         if not np.isfinite(y).all():
             bad = next(k for k, sl in enumerate(self._local) if not np.isfinite(y[sl]).all())
