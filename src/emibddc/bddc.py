@@ -83,7 +83,7 @@ __all__ = ["build_scaling", "BddcPreconditioner"]
 
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# stored entries (SPDSolver.nnz) from which the largest solve gets its own thread
+# stored entries (SPDSolver.nnz) of the largest factor from which the other solves overlap it
 OVERLAP_NNZ = 2_000_000
 
 # its thread starts on the first submit, so a host that never overlaps starts none
