@@ -32,21 +32,24 @@ set-up: the scaled scatter of the assembled interface into its interface
 positions (the scaled assembly is its transpose), the block-diagonal
 ``Ct`` of every substructure's constraint rows, pin rows included, the
 coarse restriction ``R`` holding each substructure's ``Q^T`` at its class
-ids, and the dense coarse pseudo-inverse
-``P = Pi (S_pp + (alpha/n) 11^T)^{-1} Pi`` with ``Pi = I - 11^T/n``, which
-inverts the coarse operator on the complement of its kernel (the coarse
-image of the constant vector).  With ``y`` the Neumann solves of the
-scattered residual,
+ids, and the coarse spread ``E``, the 0/1 matrix that maps each
+constraint row to its class id and a pin row to nothing.  The coarse
+operator is ``S_pp = (R E)^T``, symmetrized against the round-off of
+``H^{-1}``; the coarse image of the constant vector is its kernel, so it
+is factored like a Neumann matrix, pinned at one entry.  With ``y`` the
+Neumann solves of the scattered residual,
 
-    c = Ct y,   rho = R c,   d = (P rho)[targets] - c,   y_Gamma += V d,
+    c = Ct y,   rho = R c - mean,   z = S_pp^{-1} rho - mean,
+    d = E z - c,   y_Gamma += V d;
 
-where ``targets`` maps each constraint row to its class id (a pin row's
-target is zero); the scaled assembly of ``y`` is the result.  Every step
-is one call over all substructures but the sparse solves and the ``V``
+for a zero-mean ``rho`` the pinned solve returns a solution of
+``S_pp z = rho``, and removing its mean makes ``z`` the pseudo-inverse's
+``S_pp^+ rho``.  The scaled assembly of ``y`` is the result.  Every step
+is one call over all substructures but the Neumann solves and the ``V``
 products, no step makes a LAPACK call, and the residual may be one vector
 or a block of columns.
 
-The sparse solves and the ``V`` products run substructure by substructure
+The Neumann solves and the ``V`` products run substructure by substructure
 on the calling thread, each writing only its own slices of the stacked
 vector, but for one overlap: on a host with more than one core, when the
 largest Neumann factor holds at least ``OVERLAP_NNZ`` entries, the
@@ -62,8 +65,9 @@ starts it at once: on the extra thread it made ``convex-h12`` 11% slower
 per load.  The thread calls only private kernels (``_solve_each``,
 ``SPDSolver._substitute``), so a tracer that wraps the public API sees
 every span on the calling thread, and the result is bit-identical either
-way.  The solves are checked for non-finite values once, after all of
-them, naming the first substructure at fault.
+way.  The Neumann solves are checked for non-finite values once, after
+all of them, naming the first substructure at fault; the coarse solve
+follows on the calling thread.
 """
 
 from __future__ import annotations
@@ -72,12 +76,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import ConstraintError, FactorizationError
 from .femspace import ConstraintSet, DofMap
-from .sparsela import ConstrainedSolver
+from .sparsela import ConstrainedSolver, SPDSolver
 
 __all__ = ["build_scaling", "BddcPreconditioner"]
 
@@ -156,22 +159,15 @@ class BddcPreconditioner:
             self.solvers.append(solver)
             class_ids.append(np.array([cid for cid, _ in rows], dtype=np.int64))
 
-        # psi^T K psi of the energy-minimal coarse basis psi = W Q
-        self._s_pp = s_pp = np.zeros((n, n))
-        for solver, ids in zip(self.solvers, class_ids):
-            s_pp[np.ix_(ids, ids)] += solver.q[: len(ids)]
-        self._coarse_inv = self._coarse_pseudo_inverse(s_pp)
-
-        # the stacked operators, after the coarse inverse: their transients never meet
         pos = np.empty(dofmap.n_broken, dtype=np.int64)
         local_ptr, row_ptr = [0], [0]
-        targets, r_rows, r_cols, r_vals = [], [], [], []
+        r_rows, r_cols, r_vals, e_rows = [], [], [], []
         for lo, solver, ids in zip(local_ops, self.solvers, class_ids):
             m, mt = len(ids), solver.ct.shape[0]
             r_rows.append(np.repeat(ids, mt))
             r_cols.append(row_ptr[-1] + np.tile(np.arange(mt), m))
             r_vals.append(solver.q.T.ravel())
-            targets.append(np.concatenate([ids, np.full(mt - m, n)]))
+            e_rows.append(row_ptr[-1] + np.arange(m))
             pos[dofmap.gamma_slice(lo.sub)] = local_ptr[-1] + np.arange(lo.n_interior, solver.n)
             local_ptr.append(local_ptr[-1] + solver.n)
             row_ptr.append(row_ptr[-1] + mt)
@@ -188,29 +184,21 @@ class BddcPreconditioner:
             (np.concatenate(r_vals), (np.concatenate(r_rows), np.concatenate(r_cols))),
             shape=(n, row_ptr[-1]),
         )
-        self._targets = np.concatenate(targets)
+        e_rows = np.concatenate(e_rows)
+        self._spread = sp.csr_matrix(
+            (np.ones(len(e_rows)), (e_rows, np.concatenate(class_ids))), shape=(row_ptr[-1], n)
+        )
+        self._coarse = SPDSolver(self._coarse_matrix(), label="coarse operator", pin=True)
         nnz = [s.factor.nnz for s in self.solvers]
         big = int(np.argmax(nnz))
         self._big = big if CORES > 1 and nnz[big] >= OVERLAP_NNZ else None
 
-    @staticmethod
-    def _coarse_pseudo_inverse(s_pp: np.ndarray) -> np.ndarray:
-        """``Pi (S_pp + (alpha/n) 11^T)^{-1} Pi`` over one extra zero row,
-        the target of the pin rows."""
-        n = len(s_pp)
-        alpha = float(np.trace(s_pp)) / n
-        if not alpha > 0:
-            raise FactorizationError("coarse operator has nonpositive trace")
-        try:
-            cho = sla.cho_factor(s_pp + alpha / n)
-        except sla.LinAlgError as exc:
-            raise FactorizationError(
-                "coarse operator is singular beyond the constant kernel"
-            ) from exc
-        inv = sla.cho_solve(cho, np.eye(n))
-        inv -= inv.mean(axis=0)
-        inv -= inv.mean(axis=1)[:, None]
-        return np.vstack([inv, np.zeros(n)])
+    def _coarse_matrix(self) -> sp.csr_matrix:
+        """``S_pp``: the substructures' blocks ``Q[:m] = psi^T K psi`` of the
+        energy-minimal coarse basis ``psi = W Q`` summed at their class ids,
+        symmetrized: ``R E`` is its transpose."""
+        s_pp = self._restrict @ self._spread
+        return ((s_pp + s_pp.T) * 0.5).tocsr()
 
     def _solve_each(self, ks, y: np.ndarray) -> None:
         for k in ks:
@@ -240,7 +228,11 @@ class BddcPreconditioner:
                 f"solve with {self.solvers[bad].factor.label} produced non-finite values"
             )
         c = self._ct @ y
-        d = (self._coarse_inv @ (self._restrict @ c))[self._targets]
+        rho = self._restrict @ c
+        rho -= rho.mean(axis=0)
+        z = self._coarse.solve(rho)
+        z -= z.mean(axis=0)
+        d = self._spread @ z
         d -= c
         for solver, sl, rows in zip(self.solvers, self._iface, self._rows):
             y[sl] += solver.v @ d[rows]

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -227,13 +228,17 @@ class ConstraintSet:
         return len(self.classes)
 
     def rows_of(self, sub: int):
-        """(class index, ConstraintRow) pairs hosted by one substructure."""
-        out = []
+        """(class index, ConstraintRow) pairs hosted by one substructure,
+        in class order."""
+        return list(self._rows_by_sub.get(sub, ()))
+
+    @cached_property
+    def _rows_by_sub(self) -> dict:
+        by_sub = {}
         for ci, cl in enumerate(self.classes):
             for row in cl.rows:
-                if row.sub == sub:
-                    out.append((ci, row))
-        return out
+                by_sub.setdefault(row.sub, []).append((ci, row))
+        return by_sub
 
 
 def _class_rows(dofmap: DofMap, side: int, holders, nodes, weights) -> list:

@@ -10,8 +10,9 @@ Two building blocks:
   benchmark study this stores 28-41% fewer entries than SuperLU's default
   (COLAMD with partial pivoting).  Dropping the row pivoting is
   safe because every matrix factored is SPD (an interior block ``K_II``,
-  or a Neumann block made definite by the pin): elimination on an SPD
-  matrix meets only positive pivots and its entries do not grow.
+  or a Neumann block or the BDDC coarse operator made definite by the
+  pin): elimination on an SPD matrix meets only positive pivots and its
+  entries do not grow.
 
 * :class:`ConstrainedSolver` -- minimizes ``0.5 u^T A u - b^T u`` subject to
   sparse constraint rows ``C u = g`` (averages, or single dofs with weight
@@ -37,10 +38,11 @@ Two building blocks:
 
       u = y + V ([g; 0] - Ct y),   y = (A + rho*e_p*e_p^T)^{-1} b,   V = W H^{-1}.
 
-  ``V`` is formed once, at set-up, so a solve is one sparse solve, one
-  sparse product with ``Ct`` and one dense product with ``V``, and the
-  targets need no sparse solve.  ``Q = H^{-1} [I_m; 0]`` (the first ``m``
-  columns of ``V`` are ``W Q``) is the energy of the extensions:
+  ``V`` is formed once, at set-up, so a solve (the BDDC M-apply stacks
+  them) is one sparse solve, one sparse product with ``Ct`` and one dense
+  product with ``V``, and the targets need no sparse solve.
+  ``Q = H^{-1} [I_m; 0]`` (the first ``m`` columns of ``V`` are ``W Q``)
+  is the energy of the extensions:
   ``psi = W Q`` minimizes ``psi^T A psi`` subject to ``C psi = I_m``, and
   ``psi^T A psi = Q[:m]``, since
   ``psi^T (A + rho*e_p*e_p^T) psi = Q[:m] + Q^T D Q`` and the pin adds
@@ -179,13 +181,12 @@ class ConstrainedSolver:
     constraints:
         Sparse constraint rows (``m`` x ``n``).
 
-    :meth:`solve` returns the solution for a load and constraint targets.
-    The pieces of a solve are public for callers that stack them over many
-    solvers: ``factor``, ``ct`` (``Ct``, the constraint rows and the pin
-    row), ``v`` (``V = W H^{-1}``, at the kept rows after :meth:`compress`)
-    and ``q``, ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows with the pin, else
-    ``m``), whose first ``m`` rows are the energy of the extensions of the
-    unit targets.
+    The solver holds the pieces of a solve, for callers that stack them
+    over many solvers: ``factor``, ``ct`` (``Ct``, the constraint rows and
+    the pin row), ``v`` (``V = W H^{-1}``, at the kept rows after
+    :meth:`compress`) and ``q``, ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows
+    with the pin, else ``m``), whose first ``m`` rows are the energy of the
+    extensions of the unit targets.
     """
 
     def __init__(self, factor: SPDSolver, constraints, label=""):
@@ -206,7 +207,6 @@ class ConstrainedSolver:
             self.ct = constraints
 
         self.factor = factor
-        self._rows = None
         w = factor.solve(self.ct.T.toarray())
         h = self.ct @ w
         if self._rho:
@@ -236,19 +236,5 @@ class ConstrainedSolver:
         self.v = w
 
     def compress(self, rows: np.ndarray):
-        """Keep ``V`` only at ``rows`` (``V[rows]`` is ``W[rows] H^{-1}``);
-        later solves return the solution restricted to those rows."""
-        self._rows = np.asarray(rows, dtype=np.int64)
-        self.v = np.ascontiguousarray(self.v[self._rows])
-
-    def solve(self, rhs: np.ndarray, targets: np.ndarray | None = None) -> np.ndarray:
-        """Energy minimizer for the load ``rhs`` subject to ``C u = targets``
-        (zero when omitted): one vector, or a block of columns in both."""
-        y = self.factor.solve(rhs)
-        d = -(self.ct @ y)
-        if targets is not None:
-            d[: self.m] += targets
-        if self._rows is not None:
-            y = y[self._rows]
-        y += self.v @ d
-        return y
+        """Keep ``V`` only at ``rows`` (``V[rows]`` is ``W[rows] H^{-1}``)."""
+        self.v = np.ascontiguousarray(self.v[rows])

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
-from emibddc import denseref
+from emibddc import bddc, denseref
 from emibddc.assembly import ModelParams, assemble_system, project_compatible
 from emibddc.bddc import BddcPreconditioner, build_scaling
 from emibddc.errors import ConstraintError, FactorizationError
@@ -198,13 +198,13 @@ def test_coarse_space_ordering(problem_2cell, precond_2cell_vef, precond_2cell_v
 
 def _coarse_basis(pc, lo):
     """The energy-minimal coarse basis of one substructure on all its local
-    dofs: no load and unit targets, from an uncompressed solver."""
+    dofs, ``psi = W Q``: the leading columns of an uncompressed solver's
+    ``V``, its response to no load and unit targets."""
     rows = pc.constraints.rows_of(lo.sub)
     c = np.zeros((len(rows), lo.matrix.shape[0]))
     for r, (_, row) in enumerate(rows):
         c[r, row.local_dofs] = row.weights
-    full = ConstrainedSolver(lo.neumann, sp.csr_matrix(c))
-    return full.solve(np.zeros((full.n, len(rows))), np.eye(len(rows)))
+    return ConstrainedSolver(lo.neumann, sp.csr_matrix(c)).v[:, : len(rows)]
 
 
 def test_coarse_basis_interpolates_constraints(problem_2cell, patch_mesh, patch_topo):
@@ -298,8 +298,9 @@ def _problem_on(which, patch_mesh):
 @pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
 def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypatch):
     """vef then ve on one problem factor each substructure's Neumann matrix
-    once, beside the one factor of all interiors, and give the same
-    preconditioner as ve on a fresh problem."""
+    once, beside the one factor of all interiors and one coarse operator
+    per preconditioner, and give the same preconditioner as ve on a fresh
+    problem."""
     labels = []
     original = SPDSolver.__init__
 
@@ -322,7 +323,7 @@ def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypa
     assert all(vertex_rows) if which == "patch" else not any(vertex_rows)
     assert sum(dm.n_interior)
     neumann = [f"substructure {i} dual block" for i in range(dm.n_substructures)]
-    assert sorted(labels) == sorted(["interior blocks"] + neumann)
+    assert sorted(labels) == sorted(["interior blocks"] + neumann + ["coarse operator"] * 2)
 
     fresh = make_preconditioner(_problem_on(which, patch_mesh), "ve")
     r = np.random.default_rng(31).standard_normal(dm.n_gamma)
@@ -379,3 +380,17 @@ def test_repeated_vertex_row_rejected(patch_mesh):
     ops = problem.operators
     with pytest.raises(FactorizationError, match="dependent constraint rows"):
         BddcPreconditioner(problem.dofmap, twice, ops.local_ops, ops.sigma)
+
+
+def test_coarse_operator_without_energy_fails_at_set_up(problem_2cell, monkeypatch):
+    """Coarse blocks Q of zero make a coarse operator with no energy: its
+    factorization raises, so no apply is left to produce NaN."""
+
+    class Weightless(ConstrainedSolver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.q = np.zeros_like(self.q)
+
+    monkeypatch.setattr(bddc, "ConstrainedSolver", Weightless)
+    with pytest.raises(FactorizationError, match="coarse operator"):
+        make_preconditioner(problem_2cell, "vef")

@@ -23,6 +23,31 @@ def _random_psd_with_constant_kernel(n, rng):
     return sp.csr_matrix(b.T @ b)
 
 
+def _solution(solver, b, g=None):
+    """The constrained solution from the pieces the BDDC M-apply reads:
+    ``y + V ([g; 0] - Ct y)`` with ``y`` the factor's solve of ``b``."""
+    y = solver.factor.solve(b)
+    d = -(solver.ct @ y)
+    if g is not None:
+        d[: solver.m] += g
+    return y + solver.v @ d
+
+
+def _dense_pieces(a, c, rho):
+    """``V = W H^{-1}`` and ``Q = H^{-1} [I_m; 0]`` from the dense pinned
+    matrix (``rho`` 0 for no pin)."""
+    n, m = a.shape[0], c.shape[0]
+    ct = np.vstack([c, np.eye(1, n)]) if rho else c
+    pinned = a.copy()
+    pinned[0, 0] += rho
+    w = np.linalg.solve(pinned, ct.T)
+    h = ct @ w
+    if rho:
+        h[-1, -1] -= 1.0 / rho
+    h_inv = np.linalg.inv(h)
+    return w @ h_inv, h_inv[:, :m]
+
+
 def _dense_kkt(a, c, b, g):
     n, m = a.shape[0], c.shape[0]
     kkt = np.zeros((n + m, n + m))
@@ -83,7 +108,11 @@ def test_constrained_matches_dense_kkt_spd():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     solver = ConstrainedSolver(SPDSolver(a), c)
-    u = solver.solve(b, g)
+    assert solver.ct.shape == (m, n)
+    v, q = _dense_pieces(a.toarray(), c.toarray(), 0.0)
+    npt.assert_allclose(solver.v, v, rtol=1e-9, atol=1e-12)
+    npt.assert_allclose(solver.q, q, rtol=1e-9, atol=1e-12)
+    u = _solution(solver, b, g)
     npt.assert_allclose(u, _dense_kkt(a.toarray(), c.toarray(), b, g), rtol=1e-9)
     npt.assert_allclose(c @ u, g, atol=1e-9)
 
@@ -99,7 +128,15 @@ def test_constrained_matches_dense_kkt_singular():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    u = solver.solve(b, g)
+    # Ct is the constraint rows and the pin row at entry 0
+    npt.assert_array_equal(solver.ct.toarray(), np.vstack([c.toarray(), np.eye(1, n)]))
+    v, q = _dense_pieces(a.toarray(), c.toarray(), solver.factor.rho)
+    npt.assert_allclose(solver.v, v, rtol=1e-8, atol=1e-10)
+    npt.assert_allclose(solver.q, q, rtol=1e-8, atol=1e-10)
+    # Q[:m] is the energy of the extensions psi = W Q = V[:, :m], the pin taken out
+    psi = solver.v[:, :m]
+    npt.assert_allclose(solver.q[:m], psi.T @ a @ psi, rtol=1e-8, atol=1e-10)
+    u = _solution(solver, b, g)
     # dense reference: KKT with the same pin construction is equivalent to
     # the original singular KKT, which we solve via lstsq on the full system
     n_tot = n + m
@@ -114,12 +151,14 @@ def test_constrained_matches_dense_kkt_singular():
 
 
 def test_constrained_zero_targets_default():
+    """Zero targets, the M-apply's dual correction ``y - V Ct y``, hold the
+    constrained average at zero."""
     rng = np.random.default_rng(3)
     n = 20
     a = _random_psd_with_constant_kernel(n, rng)
     c = sp.csr_matrix(np.ones((1, n)) / n)
     solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    u = solver.solve(rng.standard_normal(n))
+    u = _solution(solver, rng.standard_normal(n))
     npt.assert_allclose(u.mean(), 0.0, atol=1e-10)
 
 
@@ -135,7 +174,7 @@ def test_constrained_energy_minimization():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    u = solver.solve(b, g)
+    u = _solution(solver, b, g)
     energy = lambda v: 0.5 * v @ ad @ v - b @ v
     e0 = energy(u)
     basis = np.linalg.svd(c_rows)[2][m:]  # null space of the constraints
@@ -145,21 +184,24 @@ def test_constrained_energy_minimization():
 
 
 def test_compress_restricts_solution():
+    """A compressed V, with the load response taken at the same rows, gives
+    the solution at those rows."""
     rng = np.random.default_rng(5)
     n = 18
     a = _random_spd(n, rng)
     c = sp.csr_matrix(rng.standard_normal((2, n)))
     b = rng.standard_normal(n)
-    full = ConstrainedSolver(SPDSolver(a), c).solve(b)
+    g = rng.standard_normal(2)
+    full = ConstrainedSolver(SPDSolver(a), c)
     rows = np.array([0, 5, 11])
     compressed = ConstrainedSolver(SPDSolver(a), c)
     compressed.compress(rows)
-    npt.assert_allclose(compressed.solve(b), full[rows], rtol=1e-12)
-    g = rng.standard_normal(2)
-    npt.assert_allclose(
-        compressed.solve(b, g), ConstrainedSolver(SPDSolver(a), c).solve(b, g)[rows],
-        rtol=1e-12,
-    )
+    npt.assert_array_equal(compressed.v, full.v[rows])
+    assert compressed.v.flags.c_contiguous
+    y = compressed.factor.solve(b)
+    d = -(compressed.ct @ y)
+    d[:2] += g
+    npt.assert_allclose(y[rows] + compressed.v @ d, _solution(full, b, g)[rows], rtol=1e-12)
 
 
 def test_constraint_width_checked():
@@ -193,13 +235,17 @@ def test_shared_factor_serves_several_constraint_sets():
         g = rng.standard_normal(m)
         own = ConstrainedSolver(SPDSolver(a, pin=True), c)
         shared = ConstrainedSolver(factor, c)
-        npt.assert_array_equal(shared.solve(b, g), own.solve(b, g))
+        for piece in ("v", "q"):
+            npt.assert_array_equal(getattr(shared, piece), getattr(own, piece))
+        npt.assert_array_equal(shared.ct.toarray(), own.ct.toarray())
+        npt.assert_array_equal(_solution(shared, b, g), _solution(own, b, g))
 
 
 def test_extend_takes_no_sparse_solve(monkeypatch):
-    """Constraint targets cost no sparse solve: with or without targets a
-    block load takes one block solve, the targets add W H^{-1} [g; 0],
-    and every column meets its targets."""
+    """Constraint targets cost no sparse solve: the extension of targets
+    ``g`` is ``V[:, :m] g``, made of the pieces alone, so a block load with
+    targets takes the one block solve of the load, and every column meets
+    its targets."""
     rng = np.random.default_rng(8)
     n, m = 20, 3
     a = _random_psd_with_constant_kernel(n, rng)
@@ -217,14 +263,15 @@ def test_extend_takes_no_sparse_solve(monkeypatch):
         return original(self, rhs)
 
     monkeypatch.setattr(SPDSolver, "solve", counting)
-    loaded = solver.solve(b)
-    u = solver.solve(b, g)
-    single = solver.solve(b[:, 2], g[:, 2])
+    extension = solver.v[:, :m] @ g
+    assert calls == []
+    loaded = _solution(solver, b)
+    u = _solution(solver, b, g)
+    single = _solution(solver, b[:, 2], g[:, 2])
     monkeypatch.undo()
     assert calls == [(n, 4), (n, 4), (n,)]
     assert u.shape == (n, 4)
     npt.assert_allclose(single, u[:, 2], rtol=1e-12, atol=1e-12)
     npt.assert_allclose(c @ u, g, atol=1e-10)
-    extension = solver.solve(np.zeros((n, 4)), g)
     npt.assert_allclose(u, loaded + extension, rtol=1e-12, atol=1e-12)
     npt.assert_allclose(c @ extension, g, atol=1e-10)

@@ -56,29 +56,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.750045197188777,
-                "polylog_model": 4.750045197188777,
+                "kappa_est": 4.750045197189503,
+                "polylog_model": 4.750045197189503,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.748551125993684,
-                "polylog_model": 4.748551125993684,
+                "kappa_est": 4.748551125994875,
+                "polylog_model": 4.748551125994875,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
-                "kappa_est": 4.992188575565377,
-                "polylog_model": 7.910312489563887,
+                "kappa_est": 4.992188575565324,
+                "polylog_model": 7.910312489565096,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
-                "kappa_est": 4.990672350718377,
-                "polylog_model": 7.907824393231281,
+                "kappa_est": 4.990672350718381,
+                "polylog_model": 7.907824393233264,
             },
         ],
     ),
@@ -96,9 +96,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.732510532571219,
-            "kappa_mean": 4.741763157572566,
-            "kappa_max": 4.750045197188777,
+            "kappa_min": 4.732510532571266,
+            "kappa_mean": 4.741763157572719,
+            "kappa_max": 4.750045197189503,
         },
     ),
     "random_sigma": (
@@ -115,9 +115,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.704282951309603,
-            "kappa_mean": 2.8613912996326625,
-            "kappa_max": 3.113716890330326,
+            "kappa_min": 2.704282951309463,
+            "kappa_mean": 2.861391299632592,
+            "kappa_max": 3.1137168903299104,
         },
     ),
     "random_sigma_convex": (
@@ -130,9 +130,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 10.5,
             "iter_max": 11.0,
-            "kappa_min": 2.640509130506593,
-            "kappa_mean": 2.7106302249558967,
-            "kappa_max": 2.7807513194052005,
+            "kappa_min": 2.6405091305066226,
+            "kappa_mean": 2.7106302249559393,
+            "kappa_max": 2.780751319405256,
         },
     ),
 }

@@ -15,7 +15,7 @@ from emibddc.femspace import DofMap
 from emibddc.geometry import MeshConfig
 from emibddc.harness import build_problem, make_preconditioner, random_rhs, solve_interface
 from emibddc.schur import SchurSystem
-from emibddc.sparsela import ConstrainedSolver, SPDSolver
+from emibddc.sparsela import SPDSolver
 
 GRIDS = {"2x2x1": (2, 2, 1), "2x2x2": (2, 2, 2)}
 
@@ -101,7 +101,6 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     public, solves = [], []
     for cls, name, log in (
         (SPDSolver, "solve", public),
-        (ConstrainedSolver, "solve", public),
         (SchurSystem, "apply", public),
         (SchurSystem, "reduce_rhs", public),
         (SchurSystem, "recover_interior", public),

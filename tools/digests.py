@@ -19,7 +19,9 @@ sparse matrix (K and the local operators) is rebuilt from its saved
 over its entries, so a change of which entries are stored does not hide
 how far the values moved.  Compared with a directory saved before the
 global stiffness A and coupling M were dropped (K has been the sum of the
-local operators since), the saved A and M files are simply not read.
+local operators since), the saved A and M files are simply not read; nor
+is the dense ``coarse_matrix`` saved before the coarse operator was
+sparse, so ``coarse_operator`` shows ``missing`` against such a directory.
 
 The meshes are the two-cell row (2x1x1, default parameters) and the
 meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
@@ -31,11 +33,12 @@ load; per primal space the preconditioner applied to the same vector
 and to a seeded block of three columns (the block path), every
 substructure's ``Q = H^{-1} [I_m; 0]`` (its multiplier system
 solved for unit targets, whose leading rows are its block of the coarse
-matrix), the coarse matrix, and one ``solve_interface`` of the seeded
-load at the studies' default ``tol`` and ``maxiter`` (the recovered
-solution, the iteration count and the kappa estimate).  A stage that
-raises prints the error's type and message instead.  The package is
-imported from ``src/`` next to this directory.
+matrix), the sparse coarse operator ``S_pp`` as factored, and one
+``solve_interface`` of the seeded load at the studies' default ``tol``
+and ``maxiter``: the recovered solution is hashed (``solution``), and
+its iteration count and kappa estimate are printed as numbers, so a
+moved count reads as one.  A stage that raises prints the error's type and message
+instead.  The package is imported from ``src/`` next to this directory.
 """
 
 import argparse
@@ -103,12 +106,6 @@ def csr_rel_diff(new, old) -> float:
     if a.shape != b.shape:
         return np.inf
     return rel_diff(abs(a - b).max(), abs(b).max())
-
-
-def solved(problem, precond, f):
-    """Recovered solution, iteration count and kappa estimate of one solve."""
-    u, report = solve_interface(problem, precond, f, tol=STUDY.tol, maxiter=STUDY.maxiter)
-    return u, np.array([report.iterations]), np.array([report.kappa_est])
 
 
 def meshes():
@@ -205,8 +202,13 @@ def main(argv=None) -> int:
             out.hashed(f"{tag} bddc_apply_block", lambda: (pc.apply(block),))
             for lo, solver in zip(ops.local_ops, pc.solvers):
                 out.hashed(f"{tag} Q[{lo.sub}]", lambda: (solver.q,))
-            out.hashed(f"{tag} coarse_matrix", lambda: (pc._s_pp,))
-            out.hashed(f"{tag} solve", lambda: solved(problem, pc, f))
+            out.matrix(f"{tag} coarse_operator", pc._coarse_matrix())
+            result = stage(f"{tag} solve", lambda: solve_interface(
+                problem, pc, f, tol=STUDY.tol, maxiter=STUDY.maxiter))
+            if result is not None:
+                u, report = result
+                out.hashed(f"{tag} solution", lambda: (u,))
+                print(f"{tag} solve iterations {report.iterations} kappa {report.kappa_est!r}")
     return 0
 
 
