@@ -37,8 +37,9 @@ matrix), the sparse coarse operator ``S_pp`` as factored, and one
 ``solve_interface`` of the seeded load at the studies' default ``tol``
 and ``maxiter``: the recovered solution is hashed (``solution``), and
 its iteration count and kappa estimate are printed as numbers, so a
-moved count reads as one.  A stage that raises prints the error's type and message
-instead.  The package is imported from ``src/`` next to this directory.
+moved count reads as one.  A stage that raises prints the error's type
+and message instead.  The package is imported from ``src/`` next to
+this directory.
 """
 
 import argparse
