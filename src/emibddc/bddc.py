@@ -11,13 +11,14 @@ prolongs the sum back by the same weights.
 Every primal class -- vertex, edge or face -- is a set of constraint rows,
 one per substructure that holds a copy of the averaged values; a vertex row
 has one local dof with weight one.  All rows are enforced the same way,
-through the multipliers of :class:`~emibddc.sparsela.ConstrainedSolver`, so
+through the multipliers of :func:`~emibddc.sparsela.multiplier_basis`, so
 each substructure's Neumann matrix is its full local operator, pinned at
 one entry for its constant kernel.  Its sparse LU factorization is built
 once per problem as ``LocalOperator.neumann`` and shared by ``vef`` and
-``ve``; each preconditioner adds only its own folded multiplier basis
+``ve``; each preconditioner keeps only its own folded multiplier basis
 ``V = W H^{-1}`` at the interface rows (``W`` the multiplier basis, ``H``
-the dense multiplier matrix) and the small ``Q = H^{-1} [I_m; 0]``.
+the dense multiplier matrix), and writes the small ``Q = H^{-1} [I_m; 0]``
+into the coarse restriction below.
 
 The coarse basis ``psi = W Q`` of a substructure minimizes local energy
 subject to unit value on one class and zero on the others, but it is never
@@ -80,7 +81,7 @@ import scipy.sparse as sp
 
 from .errors import ConstraintError, FactorizationError
 from .femspace import ConstraintSet, DofMap
-from .sparsela import ConstrainedSolver, SPDSolver
+from .sparsela import SPDSolver, multiplier_basis
 
 __all__ = ["build_scaling", "BddcPreconditioner"]
 
@@ -119,9 +120,8 @@ def _constraint_matrix(rows, n_loc: int) -> sp.csr_matrix:
 class BddcPreconditioner:
     """Two-level preconditioner for the assembled interface operator.
 
-    ``solvers[i]`` is substructure ``i``'s constrained Neumann solver, its
-    ``V`` kept at the interface rows; the apply reads its factor and ``V``
-    and otherwise works on the stacked operators built here.
+    Per substructure it keeps the Neumann factor and ``V`` at the interface
+    rows; the apply otherwise works on the stacked operators built here.
     """
 
     def __init__(
@@ -140,7 +140,10 @@ class BddcPreconditioner:
         self.delta = build_scaling(dofmap, sigma)
         self.coarse_dim = n = constraints.coarse_dim
 
-        self.solvers, class_ids = [], []
+        self._factors, self._v, cts = [], [], []
+        pos = np.empty(dofmap.n_broken, dtype=np.int64)
+        local_ptr, row_ptr = [0], [0]
+        r_rows, r_cols, r_vals, e_rows, e_cols = [], [], [], [], []
         for lo in local_ops:
             rows = constraints.rows_of(lo.sub)
             if not rows:
@@ -150,46 +153,41 @@ class BddcPreconditioner:
                     "problem is singular and the preconditioner is undefined"
                 )
             n_loc = lo.matrix.shape[0]
-            solver = ConstrainedSolver(
-                lo.neumann, _constraint_matrix(rows, n_loc),
-                label=f"substructure {lo.sub} dual block",
-            )
+            iface = np.arange(lo.n_interior, n_loc)
             # applies only ever need interface rows of the solution
-            solver.compress(np.arange(lo.n_interior, n_loc))
-            self.solvers.append(solver)
-            class_ids.append(np.array([cid for cid, _ in rows], dtype=np.int64))
-
-        pos = np.empty(dofmap.n_broken, dtype=np.int64)
-        local_ptr, row_ptr = [0], [0]
-        r_rows, r_cols, r_vals, e_rows = [], [], [], []
-        for lo, solver, ids in zip(local_ops, self.solvers, class_ids):
-            m, mt = len(ids), solver.ct.shape[0]
+            ct, v, q = multiplier_basis(lo.neumann, _constraint_matrix(rows, n_loc), iface)
+            self._factors.append(lo.neumann)
+            self._v.append(v)
+            cts.append(ct)
+            ids = np.array([cid for cid, _ in rows], dtype=np.int64)
+            m, mt = len(ids), ct.shape[0]
             r_rows.append(np.repeat(ids, mt))
             r_cols.append(row_ptr[-1] + np.tile(np.arange(mt), m))
-            r_vals.append(solver.q.T.ravel())
+            r_vals.append(q.T.ravel())
             e_rows.append(row_ptr[-1] + np.arange(m))
-            pos[dofmap.gamma_slice(lo.sub)] = local_ptr[-1] + np.arange(lo.n_interior, solver.n)
-            local_ptr.append(local_ptr[-1] + solver.n)
+            e_cols.append(ids)
+            pos[dofmap.gamma_slice(lo.sub)] = local_ptr[-1] + iface
+            local_ptr.append(local_ptr[-1] + n_loc)
             row_ptr.append(row_ptr[-1] + mt)
 
         self._local = [slice(a, b) for a, b in zip(local_ptr, local_ptr[1:])]
-        self._iface = [slice(b - s.v.shape[0], b) for s, b in zip(self.solvers, local_ptr[1:])]
+        self._iface = [slice(b - len(v), b) for v, b in zip(self._v, local_ptr[1:])]
         self._rows = [slice(a, b) for a, b in zip(row_ptr, row_ptr[1:])]
         self._scatter = sp.csr_matrix(
             (self.delta, (pos, dofmap.bro_gamma)), shape=(local_ptr[-1], dofmap.n_gamma)
         )
         self._assemble = self._scatter.T.tocsr()
-        self._ct = sp.block_diag([s.ct for s in self.solvers], format="csr")
+        self._ct = sp.block_diag(cts, format="csr")
         self._restrict = sp.csr_matrix(
             (np.concatenate(r_vals), (np.concatenate(r_rows), np.concatenate(r_cols))),
             shape=(n, row_ptr[-1]),
         )
         e_rows = np.concatenate(e_rows)
         self._spread = sp.csr_matrix(
-            (np.ones(len(e_rows)), (e_rows, np.concatenate(class_ids))), shape=(row_ptr[-1], n)
+            (np.ones(len(e_rows)), (e_rows, np.concatenate(e_cols))), shape=(row_ptr[-1], n)
         )
         self._coarse = SPDSolver(self._coarse_matrix(), label="coarse operator", pin=True)
-        nnz = [s.factor.nnz for s in self.solvers]
+        nnz = [f.nnz for f in self._factors]
         big = int(np.argmax(nnz))
         self._big = big if CORES > 1 and nnz[big] >= OVERLAP_NNZ else None
 
@@ -204,7 +202,7 @@ class BddcPreconditioner:
         for k in ks:
             sl = self._local[k]
             # the solve copies its input, so it may overwrite it
-            y[sl] = self.solvers[k].factor._substitute(y[sl])
+            y[sl] = self._factors[k]._substitute(y[sl])
 
     def apply(self, r_gamma: np.ndarray) -> np.ndarray:
         """Preconditioned residual z = M^{-1} r on the assembled interface,
@@ -212,9 +210,9 @@ class BddcPreconditioner:
         y = self._scatter @ r_gamma
         big = self._big
         if big is None:
-            self._solve_each(range(len(self.solvers)), y)
+            self._solve_each(range(len(self._factors)), y)
         else:
-            rest = [k for k in range(len(self.solvers)) if k != big]
+            rest = [k for k in range(len(self._factors)) if k != big]
             pending = _POOL.submit(self._solve_each, rest, y)
             try:
                 self._solve_each((big,), y)
@@ -225,7 +223,7 @@ class BddcPreconditioner:
         if not np.isfinite(y).all():
             bad = next(k for k, sl in enumerate(self._local) if not np.isfinite(y[sl]).all())
             raise FactorizationError(
-                f"solve with {self.solvers[bad].factor.label} produced non-finite values"
+                f"solve with {self._factors[bad].label} produced non-finite values"
             )
         c = self._ct @ y
         rho = self._restrict @ c
@@ -234,8 +232,8 @@ class BddcPreconditioner:
         z -= z.mean(axis=0)
         d = self._spread @ z
         d -= c
-        for solver, sl, rows in zip(self.solvers, self._iface, self._rows):
-            y[sl] += solver.v @ d[rows]
+        for v, sl, rows in zip(self._v, self._iface, self._rows):
+            y[sl] += v @ d[rows]
         return self._assemble @ y
 
     def apply_ED(self, w_bro: np.ndarray) -> np.ndarray:

@@ -170,7 +170,7 @@ class ExperimentConfig:
         try:
             mesh_cfg = MeshConfig(**_strict_kwargs(MeshConfig, mesh, "mesh"))
             if "sigma" in params and params["sigma"] is not None:
-                params["sigma"] = tuple(params["sigma"])
+                params = {**params, "sigma": tuple(params["sigma"])}  # the caller's dict stays
             params_cfg = ModelParams(**_strict_kwargs(ModelParams, params, "params"))
         except (MeshError, AssemblyError, TypeError) as exc:
             raise ConfigError(str(exc)) from None

@@ -14,15 +14,16 @@ Two building blocks:
   pin): elimination on an SPD matrix meets only positive pivots and its
   entries do not grow.
 
-* :class:`ConstrainedSolver` -- minimizes ``0.5 u^T A u - b^T u`` subject to
-  sparse constraint rows ``C u = g`` (averages, or single dofs with weight
-  one) where ``A`` is symmetric positive semidefinite with at most the
-  constant vector in its kernel.  The KKT system is reduced to a dense
-  multiplier problem so that only one sparse LU factorization is needed.
-  Singular ``A`` is handled by pinning a single entry with a rank-one
-  diagonal shift and compensating through an extra multiplier, which keeps
-  the factorized matrix sparse *and* the reduced system exactly equivalent
-  to the original KKT conditions:
+* :func:`multiplier_basis` -- the multiplier pieces of minimizing
+  ``0.5 u^T A u - b^T u`` subject to sparse constraint rows ``C u = g``
+  (averages, or single dofs with weight one) where ``A`` is symmetric
+  positive semidefinite with at most the constant vector in its kernel.
+  The KKT system is reduced to a dense multiplier problem so that only one
+  sparse LU factorization is needed.  Singular ``A`` is handled by pinning
+  a single entry with a rank-one diagonal shift and compensating through
+  an extra multiplier, the *pin row*, which keeps the factorized matrix
+  sparse *and* the reduced system exactly equivalent to the original KKT
+  conditions:
 
       [A + rho*e_p*e_p^T   Ct^T] [u ]   [b ]          Ct = [C; e_p^T]
       [Ct                   D  ] [nu] = [gt],         D  = diag(0,..,0, 1/rho)
@@ -31,10 +32,10 @@ Two building blocks:
   the first block, so (u, nu[:-1]) solves the original problem.
 
   The factor of ``A + rho*e_p*e_p^T`` does not depend on ``C``, so a caller
-  that solves against several constraint sets builds the :class:`SPDSolver`
-  once and hands it to every :class:`ConstrainedSolver`.  With the
-  multiplier basis ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T`` and the dense
-  ``H = Ct W - D``, the solution for a load ``b`` and targets ``g`` is
+  with several constraint sets builds the :class:`SPDSolver` once and
+  hands it to every call.  With the multiplier basis
+  ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T`` and the dense ``H = Ct W - D``,
+  the solution for a load ``b`` and targets ``g`` is
 
       u = y + V ([g; 0] - Ct y),   y = (A + rho*e_p*e_p^T)^{-1} b,   V = W H^{-1}.
 
@@ -68,7 +69,7 @@ try:  # glibc's malloc_trim; None where the C library has none
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
-__all__ = ["SPDSolver", "ConstrainedSolver"]
+__all__ = ["SPDSolver", "multiplier_basis"]
 
 _FOLD_ROWS = 1024  # rows of W per in-place block of the V = W H^{-1} fold
 
@@ -79,7 +80,7 @@ class SPDSolver:
     With ``pin=True`` the matrix may be only semidefinite with the constant
     vector in its kernel; the factor is then that of
     ``matrix + rho * e_0 e_0^T`` with ``rho`` the mean diagonal entry, and
-    ``rho`` is kept for :class:`ConstrainedSolver`.  ``rho`` is 0 without
+    ``rho`` is kept for :func:`multiplier_basis`.  ``rho`` is 0 without
     the pin.
 
     The factor is SuperLU's in symmetric mode: minimum-degree ordering on
@@ -167,74 +168,51 @@ class SPDSolver:
         return out[:, 0] if rhs.ndim == 1 else out
 
 
-class ConstrainedSolver:
-    """Equality-constrained solves against a PSD matrix with 1D kernel.
+def multiplier_basis(factor: SPDSolver, constraints, rows) -> tuple:
+    """The pieces ``(ct, v, q)`` of the constrained solves against ``factor``.
 
-    Parameters
-    ----------
-    factor:
-        :class:`SPDSolver` of the matrix, built with ``pin=True`` when the
-        matrix may contain the constant vector in its kernel (the solver
-        then adds the internal pin row) and ``pin=False`` when it is
-        positive definite.  Several solvers with different constraints may
-        share one factor.
-    constraints:
-        Sparse constraint rows (``m`` x ``n``).
-
-    The solver holds the pieces of a solve, for callers that stack them
-    over many solvers: ``factor``, ``ct`` (``Ct``, the constraint rows and
-    the pin row), ``v`` (``V = W H^{-1}``, at the kept rows after
-    :meth:`compress`) and ``q``, ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows
-    with the pin, else ``m``), whose first ``m`` rows are the energy of the
-    extensions of the unit targets.
+    ``factor`` is the :class:`SPDSolver` of the matrix, built with
+    ``pin=True`` when the matrix may hold the constant vector in its kernel
+    (``ct`` then ends in the pin row) and ``pin=False`` when it is positive
+    definite; several calls may share one factor.  ``constraints`` are the
+    sparse constraint rows (``m`` x ``n``).  ``ct`` is ``Ct`` in CSR, ``v``
+    is ``V = W H^{-1}`` at ``rows`` alone, C-contiguous, and ``q`` is
+    ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows with the pin, else ``m``).
     """
+    label = factor.label or "?"
+    constraints = constraints.tocsr()
+    if constraints.shape[1] != factor.n:
+        raise FactorizationError(f"constraint rows for {label} have wrong width")
+    m = constraints.shape[0]
+    if factor.rho:
+        pin_row = sp.coo_matrix(([1.0], ([0], [0])), shape=(1, factor.n)).tocsr()
+        ct = sp.vstack([constraints, pin_row]).tocsr()
+    else:
+        ct = constraints
 
-    def __init__(self, factor: SPDSolver, constraints, label=""):
-        self.n = factor.n
-        self.label = label
-        constraints = constraints.tocsr()
-        if constraints.shape[1] != self.n:
-            raise FactorizationError(
-                f"constraint rows for {label or '?'} have wrong width"
-            )
-        self.m = constraints.shape[0]
-
-        self._rho = factor.rho
-        if self._rho:
-            pin_row = sp.coo_matrix(([1.0], ([0], [0])), shape=(1, self.n)).tocsr()
-            self.ct = sp.vstack([constraints, pin_row]).tocsr()
-        else:
-            self.ct = constraints
-
-        self.factor = factor
-        w = factor.solve(self.ct.T.toarray())
-        h = self.ct @ w
-        if self._rho:
-            h[-1, -1] -= 1.0 / self._rho
-        try:
-            with np.errstate(invalid="raise"), warnings.catch_warnings():
-                # singular pivots are caught explicitly below
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                h_lu = sla.lu_factor(h)
-        except (ValueError, sla.LinAlgError, FloatingPointError) as exc:
-            raise FactorizationError(
-                f"dependent constraint rows for {label or '?'}"
-            ) from exc
-        piv = np.abs(np.diag(h_lu[0]))
-        if piv.size and piv.min() <= 1e-13 * max(piv.max(), 1.0):
-            raise FactorizationError(
-                f"dependent constraint rows for {label or '?'}"
-            )
-        self.q = sla.lu_solve(h_lu, np.eye(self.ct.shape[0], self.m))
-        # V = W H^{-1} as H^T V^T = W^T, written over W one block of rows at
-        # a time through a row-major copy (LAPACK takes the rows of W as
-        # columns).  One whole-height block raised the peak RSS of the
-        # rhs-stream benchmark workload by 11 MiB, blocks of 1,024 rows by 1.5.
-        for r in range(0, self.n, _FOLD_ROWS):
-            block = np.ascontiguousarray(w[r:r + _FOLD_ROWS])
-            w[r:r + _FOLD_ROWS] = sla.lu_solve(h_lu, block.T, trans=1, overwrite_b=True).T
-        self.v = w
-
-    def compress(self, rows: np.ndarray):
-        """Keep ``V`` only at ``rows`` (``V[rows]`` is ``W[rows] H^{-1}``)."""
-        self.v = np.ascontiguousarray(self.v[rows])
+    w = factor.solve(ct.T.toarray())
+    h = ct @ w
+    if factor.rho:
+        h[-1, -1] -= 1.0 / factor.rho
+    # only W[rows] is folded into V, and the full W goes before the fold
+    w = np.ascontiguousarray(w[rows])
+    try:
+        with np.errstate(invalid="raise"), warnings.catch_warnings():
+            # singular pivots are caught explicitly below
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            h_lu = sla.lu_factor(h)
+    except (ValueError, sla.LinAlgError, FloatingPointError) as exc:
+        raise FactorizationError(f"dependent constraint rows for {label}") from exc
+    piv = np.abs(np.diag(h_lu[0]))
+    if piv.size and piv.min() <= 1e-13 * max(piv.max(), 1.0):
+        raise FactorizationError(f"dependent constraint rows for {label}")
+    q = sla.lu_solve(h_lu, np.eye(ct.shape[0], m))
+    # V = W H^{-1} as H^T V^T = W^T, written over the row-major W one block
+    # of rows at a time (LAPACK takes its rows as columns).  One whole-height
+    # block through a copy raised the peak RSS of the rhs-stream benchmark
+    # workload by 11 MiB, blocks of 1,024 rows by 1.5.
+    for r in range(0, len(w), _FOLD_ROWS):
+        w[r:r + _FOLD_ROWS] = sla.lu_solve(
+            h_lu, w[r:r + _FOLD_ROWS].T, trans=1, overwrite_b=True
+        ).T
+    return ct, w, q

@@ -13,7 +13,7 @@ from emibddc.femspace import build_composite_space, build_primal_constraints
 from emibddc.geometry import Mesh, MeshConfig, build_mesh, extract_interfaces
 from emibddc.harness import Problem, build_problem, make_preconditioner
 from emibddc.schur import condense
-from emibddc.sparsela import ConstrainedSolver, SPDSolver
+from emibddc.sparsela import SPDSolver, multiplier_basis
 
 
 def test_scaling_values_on_membrane_and_junction(problem_2cell):
@@ -160,7 +160,7 @@ def test_non_finite_solve_names_substructure(problem_2cell):
     r = np.random.default_rng(26).standard_normal(problem_2cell.dofmap.n_gamma)
     # the factors belong to the shared problem: the instance attributes go
     # again afterwards (monkeypatch would leave bound methods behind)
-    factors = [solver.factor for solver in pc.solvers[1:]]
+    factors = pc._factors[1:]
     try:
         for factor in factors:
             factor._substitute = lambda rhs: np.full(np.shape(rhs), np.nan)
@@ -198,13 +198,15 @@ def test_coarse_space_ordering(problem_2cell, precond_2cell_vef, precond_2cell_v
 
 def _coarse_basis(pc, lo):
     """The energy-minimal coarse basis of one substructure on all its local
-    dofs, ``psi = W Q``: the leading columns of an uncompressed solver's
-    ``V``, its response to no load and unit targets."""
+    dofs, ``psi = W Q``: the leading columns of ``V`` at every row, its
+    response to no load and unit targets."""
     rows = pc.constraints.rows_of(lo.sub)
-    c = np.zeros((len(rows), lo.matrix.shape[0]))
+    n_loc = lo.matrix.shape[0]
+    c = np.zeros((len(rows), n_loc))
     for r, (_, row) in enumerate(rows):
         c[r, row.local_dofs] = row.weights
-    return ConstrainedSolver(lo.neumann, sp.csr_matrix(c)).v[:, : len(rows)]
+    _, v, _ = multiplier_basis(lo.neumann, sp.csr_matrix(c), np.arange(n_loc))
+    return v[:, : len(rows)]
 
 
 def test_coarse_basis_interpolates_constraints(problem_2cell, patch_mesh, patch_topo):
@@ -343,13 +345,13 @@ def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypa
 
 @pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
 def test_coarse_operator_and_residual_from_multipliers(which, patch_mesh):
-    """The coarse block each substructure keeps, Q[:m], is psi^T K psi of
-    its coarse basis with the pin taken out again, and the stacked coarse
-    restriction of the constraint values of a load response,
-    rho = R (Ct y), is the coarse residual psi_Gamma^T r at the
-    substructure's classes and zero elsewhere.  Entries that vanish in
-    exact arithmetic carry only round-off, so both compare relative to
-    their largest entry."""
+    """The coarse block each substructure writes into the coarse
+    restriction R, Q[:m], is psi^T K psi of its coarse basis with the pin
+    taken out again, and the stacked coarse restriction of the constraint
+    values of a load response, rho = R (Ct y), is the coarse residual
+    psi_Gamma^T r at the substructure's classes and zero elsewhere.
+    Entries that vanish in exact arithmetic carry only round-off, so both
+    compare relative to their largest entry."""
 
     def assert_close(actual, desired):
         npt.assert_allclose(actual, desired, rtol=0, atol=1e-10 * np.abs(desired).max())
@@ -357,11 +359,12 @@ def test_coarse_operator_and_residual_from_multipliers(which, patch_mesh):
     problem = _problem_on(which, patch_mesh)
     pc = make_preconditioner(problem, "vef")
     rng = np.random.default_rng(32)
-    for lo, solver, local in zip(problem.operators.local_ops, pc.solvers, pc._local):
+    for lo, local, rows in zip(problem.operators.local_ops, pc._local, pc._rows):
         n_i = lo.n_interior
         ids = [cid for cid, _ in pc.constraints.rows_of(lo.sub)]
         psi = _coarse_basis(pc, lo)
-        assert_close(solver.q[: len(ids)], psi.T @ (lo.matrix @ psi))
+        q = pc._restrict[ids][:, rows].toarray().T  # R holds Q^T at the class ids
+        assert_close(q[: len(ids)], psi.T @ (lo.matrix @ psi))
         r = rng.standard_normal(psi.shape[0] - n_i)
         y = np.zeros(pc._ct.shape[1])
         y[local] = lo.neumann.solve(np.concatenate([np.zeros(n_i), r]))
@@ -386,11 +389,12 @@ def test_coarse_operator_without_energy_fails_at_set_up(problem_2cell, monkeypat
     """Coarse blocks Q of zero make a coarse operator with no energy: its
     factorization raises, so no apply is left to produce NaN."""
 
-    class Weightless(ConstrainedSolver):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.q = np.zeros_like(self.q)
+    original = bddc.multiplier_basis
 
-    monkeypatch.setattr(bddc, "ConstrainedSolver", Weightless)
+    def weightless(*args):
+        ct, v, q = original(*args)
+        return ct, v, np.zeros_like(q)
+
+    monkeypatch.setattr(bddc, "multiplier_basis", weightless)
     with pytest.raises(FactorizationError, match="coarse operator"):
         make_preconditioner(problem_2cell, "vef")

@@ -67,6 +67,15 @@ def test_from_dict_converts_containers():
     assert cfg.levels == (0, 1)
 
 
+def test_from_dict_leaves_input_unchanged():
+    data = {"mesh": {"cells_x": 2}, "params": {"sigma": [20.0, 3.0, 3.0]}, "variants": ["vef"]}
+    before = json.loads(json.dumps(data))
+    cfg = ExperimentConfig.from_dict(data)
+    assert cfg.params.sigma == (20.0, 3.0, 3.0)
+    assert data == before
+    assert type(data["params"]["sigma"]) is list
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "scaling"})

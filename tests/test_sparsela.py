@@ -7,7 +7,7 @@ from emibddc.assembly import ModelParams
 from emibddc.errors import FactorizationError
 from emibddc.geometry import BATH, MeshConfig
 from emibddc.harness import build_problem
-from emibddc.sparsela import ConstrainedSolver, SPDSolver
+from emibddc.sparsela import SPDSolver, multiplier_basis
 
 
 def _random_spd(n, rng, density=0.4):
@@ -23,14 +23,19 @@ def _random_psd_with_constant_kernel(n, rng):
     return sp.csr_matrix(b.T @ b)
 
 
-def _solution(solver, b, g=None):
+def _basis(factor, c):
+    """``multiplier_basis`` with ``V`` at every row."""
+    return multiplier_basis(factor, c, np.arange(factor.n))
+
+
+def _solution(factor, ct, v, b, g=None):
     """The constrained solution from the pieces the BDDC M-apply reads:
     ``y + V ([g; 0] - Ct y)`` with ``y`` the factor's solve of ``b``."""
-    y = solver.factor.solve(b)
-    d = -(solver.ct @ y)
+    y = factor.solve(b)
+    d = -(ct @ y)
     if g is not None:
-        d[: solver.m] += g
-    return y + solver.v @ d
+        d[: len(g)] += g
+    return y + v @ d
 
 
 def _dense_pieces(a, c, rho):
@@ -107,12 +112,13 @@ def test_constrained_matches_dense_kkt_spd():
     c = sp.csr_matrix(rng.standard_normal((m, n)))
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    solver = ConstrainedSolver(SPDSolver(a), c)
-    assert solver.ct.shape == (m, n)
-    v, q = _dense_pieces(a.toarray(), c.toarray(), 0.0)
-    npt.assert_allclose(solver.v, v, rtol=1e-9, atol=1e-12)
-    npt.assert_allclose(solver.q, q, rtol=1e-9, atol=1e-12)
-    u = _solution(solver, b, g)
+    factor = SPDSolver(a)
+    ct, v, q = _basis(factor, c)
+    assert ct.shape == (m, n)
+    v_ref, q_ref = _dense_pieces(a.toarray(), c.toarray(), 0.0)
+    npt.assert_allclose(v, v_ref, rtol=1e-9, atol=1e-12)
+    npt.assert_allclose(q, q_ref, rtol=1e-9, atol=1e-12)
+    u = _solution(factor, ct, v, b, g)
     npt.assert_allclose(u, _dense_kkt(a.toarray(), c.toarray(), b, g), rtol=1e-9)
     npt.assert_allclose(c @ u, g, atol=1e-9)
 
@@ -127,16 +133,17 @@ def test_constrained_matches_dense_kkt_singular():
     c = sp.csr_matrix(c_rows)
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
+    factor = SPDSolver(a, pin=True)
+    ct, v, q = _basis(factor, c)
     # Ct is the constraint rows and the pin row at entry 0
-    npt.assert_array_equal(solver.ct.toarray(), np.vstack([c.toarray(), np.eye(1, n)]))
-    v, q = _dense_pieces(a.toarray(), c.toarray(), solver.factor.rho)
-    npt.assert_allclose(solver.v, v, rtol=1e-8, atol=1e-10)
-    npt.assert_allclose(solver.q, q, rtol=1e-8, atol=1e-10)
+    npt.assert_array_equal(ct.toarray(), np.vstack([c.toarray(), np.eye(1, n)]))
+    v_ref, q_ref = _dense_pieces(a.toarray(), c.toarray(), factor.rho)
+    npt.assert_allclose(v, v_ref, rtol=1e-8, atol=1e-10)
+    npt.assert_allclose(q, q_ref, rtol=1e-8, atol=1e-10)
     # Q[:m] is the energy of the extensions psi = W Q = V[:, :m], the pin taken out
-    psi = solver.v[:, :m]
-    npt.assert_allclose(solver.q[:m], psi.T @ a @ psi, rtol=1e-8, atol=1e-10)
-    u = _solution(solver, b, g)
+    psi = v[:, :m]
+    npt.assert_allclose(q[:m], psi.T @ a @ psi, rtol=1e-8, atol=1e-10)
+    u = _solution(factor, ct, v, b, g)
     # dense reference: KKT with the same pin construction is equivalent to
     # the original singular KKT, which we solve via lstsq on the full system
     n_tot = n + m
@@ -157,8 +164,9 @@ def test_constrained_zero_targets_default():
     n = 20
     a = _random_psd_with_constant_kernel(n, rng)
     c = sp.csr_matrix(np.ones((1, n)) / n)
-    solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    u = _solution(solver, rng.standard_normal(n))
+    factor = SPDSolver(a, pin=True)
+    ct, v, _ = _basis(factor, c)
+    u = _solution(factor, ct, v, rng.standard_normal(n))
     npt.assert_allclose(u.mean(), 0.0, atol=1e-10)
 
 
@@ -173,8 +181,9 @@ def test_constrained_energy_minimization():
     c = sp.csr_matrix(c_rows)
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
-    u = _solution(solver, b, g)
+    factor = SPDSolver(a, pin=True)
+    ct, v, _ = _basis(factor, c)
+    u = _solution(factor, ct, v, b, g)
     energy = lambda v: 0.5 * v @ ad @ v - b @ v
     e0 = energy(u)
     basis = np.linalg.svd(c_rows)[2][m:]  # null space of the constraints
@@ -183,31 +192,32 @@ def test_constrained_energy_minimization():
         assert energy(u + 0.1 * z) >= e0 - 1e-10
 
 
-def test_compress_restricts_solution():
-    """A compressed V, with the load response taken at the same rows, gives
-    the solution at those rows."""
+def test_basis_at_rows_restricts_solution():
+    """``V`` asked for at some rows is the all-rows ``V`` at those rows,
+    C-contiguous, and with the load response taken at the same rows it
+    gives the solution there."""
     rng = np.random.default_rng(5)
     n = 18
     a = _random_spd(n, rng)
     c = sp.csr_matrix(rng.standard_normal((2, n)))
     b = rng.standard_normal(n)
     g = rng.standard_normal(2)
-    full = ConstrainedSolver(SPDSolver(a), c)
+    factor = SPDSolver(a)
+    ct, v_all, _ = _basis(factor, c)
     rows = np.array([0, 5, 11])
-    compressed = ConstrainedSolver(SPDSolver(a), c)
-    compressed.compress(rows)
-    npt.assert_array_equal(compressed.v, full.v[rows])
-    assert compressed.v.flags.c_contiguous
-    y = compressed.factor.solve(b)
-    d = -(compressed.ct @ y)
+    _, v, _ = multiplier_basis(factor, c, rows)
+    npt.assert_array_equal(v, v_all[rows])
+    assert v.flags.c_contiguous
+    y = factor.solve(b)
+    d = -(ct @ y)
     d[:2] += g
-    npt.assert_allclose(y[rows] + compressed.v @ d, _solution(full, b, g)[rows], rtol=1e-12)
+    npt.assert_allclose(y[rows] + v @ d, _solution(factor, ct, v_all, b, g)[rows], rtol=1e-12)
 
 
 def test_constraint_width_checked():
     a = sp.identity(5, format="csr")
     with pytest.raises(FactorizationError):
-        ConstrainedSolver(SPDSolver(a, pin=True), sp.csr_matrix(np.ones((1, 4))))
+        _basis(SPDSolver(a, pin=True), sp.csr_matrix(np.ones((1, 4))))
 
 
 def test_dependent_constraint_rows_rejected():
@@ -216,12 +226,12 @@ def test_dependent_constraint_rows_rejected():
     row = rng.standard_normal((1, 10))
     dup = sp.csr_matrix(np.vstack([row, row]))
     with pytest.raises(FactorizationError):
-        ConstrainedSolver(SPDSolver(a), dup)
+        _basis(SPDSolver(a), dup)
 
 
 def test_shared_factor_serves_several_constraint_sets():
-    """One pinned factor handed to solvers with different constraint rows
-    gives what each solver computes with a factor of its own."""
+    """One pinned factor handed to calls with different constraint rows
+    gives what each call computes with a factor of its own."""
     rng = np.random.default_rng(7)
     n = 22
     a = _random_psd_with_constant_kernel(n, rng)
@@ -233,12 +243,16 @@ def test_shared_factor_serves_several_constraint_sets():
         c_rows[0] += 1.0
         c = sp.csr_matrix(c_rows)
         g = rng.standard_normal(m)
-        own = ConstrainedSolver(SPDSolver(a, pin=True), c)
-        shared = ConstrainedSolver(factor, c)
-        for piece in ("v", "q"):
-            npt.assert_array_equal(getattr(shared, piece), getattr(own, piece))
-        npt.assert_array_equal(shared.ct.toarray(), own.ct.toarray())
-        npt.assert_array_equal(_solution(shared, b, g), _solution(own, b, g))
+        own_factor = SPDSolver(a, pin=True)
+        own = _basis(own_factor, c)
+        shared = _basis(factor, c)
+        for piece in (1, 2):  # V and Q
+            npt.assert_array_equal(shared[piece], own[piece])
+        npt.assert_array_equal(shared[0].toarray(), own[0].toarray())
+        npt.assert_array_equal(
+            _solution(factor, shared[0], shared[1], b, g),
+            _solution(own_factor, own[0], own[1], b, g),
+        )
 
 
 def test_extend_takes_no_sparse_solve(monkeypatch):
@@ -252,7 +266,8 @@ def test_extend_takes_no_sparse_solve(monkeypatch):
     c_rows = rng.standard_normal((m, n))
     c_rows[0] += 1.0
     c = sp.csr_matrix(c_rows)
-    solver = ConstrainedSolver(SPDSolver(a, pin=True), c)
+    factor = SPDSolver(a, pin=True)
+    ct, v, _ = _basis(factor, c)
     b = rng.standard_normal((n, 4))
     g = rng.standard_normal((m, 4))
     calls = []
@@ -263,11 +278,11 @@ def test_extend_takes_no_sparse_solve(monkeypatch):
         return original(self, rhs)
 
     monkeypatch.setattr(SPDSolver, "solve", counting)
-    extension = solver.v[:, :m] @ g
+    extension = v[:, :m] @ g
     assert calls == []
-    loaded = _solution(solver, b)
-    u = _solution(solver, b, g)
-    single = _solution(solver, b[:, 2], g[:, 2])
+    loaded = _solution(factor, ct, v, b)
+    u = _solution(factor, ct, v, b, g)
+    single = _solution(factor, ct, v, b[:, 2], g[:, 2])
     monkeypatch.undo()
     assert calls == [(n, 4), (n, 4), (n,)]
     assert u.shape == (n, 4)

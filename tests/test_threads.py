@@ -33,7 +33,7 @@ def _solve(problem, precond, f):
 def test_overlap_only_for_a_large_factor_on_several_cores(problem_2cell, monkeypatch):
     """The other solves go to the thread only with a second core and a
     largest factor of at least OVERLAP_NNZ stored entries."""
-    nnz = [s.factor.nnz for s in make_preconditioner(problem_2cell, "vef").solvers]
+    nnz = [f.nnz for f in make_preconditioner(problem_2cell, "vef")._factors]
     big = nnz.index(max(nnz))
     for cores, limit, expected in (
         (2, max(nnz), big), (2, max(nnz) + 1, None), (1, max(nnz), None),
@@ -62,7 +62,7 @@ def test_threaded_applies_match_one_group(grid_problem, variant):
     default = precond._big
     got = {}
     try:
-        for big in [None, *range(len(precond.solvers))]:
+        for big in [None, *range(len(precond._factors))]:
             precond._big = big
             got[big] = results()
     finally:
@@ -83,7 +83,7 @@ def test_overlapped_solve_under_fast_switching(grid_problem):
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        for k in range(len(precond.solvers)):
+        for k in range(len(precond._factors)):
             precond._big = k
             for _ in range(5):
                 assert np.array_equal(precond.apply(v), expected)
@@ -140,20 +140,17 @@ def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
     class BrokenV:
         __matmul__ = broken
 
-    # an instance attribute over the factor's method, or over the solver's V
-    target, name = (
-        (precond.solvers[1].factor, "_substitute") if which == "bddc"
-        else (precond.solvers[1], "v")
-    )
-    saved = vars(target).get(name)
-    setattr(target, name, broken if which == "bddc" else BrokenV())
+    # an instance attribute over the factor's method, or substructure 1's V
+    factor, saved_v = precond._factors[1], precond._v[1]
+    if which == "bddc":
+        factor._substitute = broken
+    else:
+        precond._v[1] = BrokenV()
     try:
         with pytest.raises(FactorizationError, match="injected failure"):
             precond.apply(v)
     finally:
-        if saved is None:
-            delattr(target, name)
-        else:
-            setattr(target, name, saved)
+        vars(factor).pop("_substitute", None)
+        precond._v[1] = saved_v
     assert threads == [which == "bddc-coarse"]
     assert np.array_equal(precond.apply(v), expected)

@@ -14,14 +14,16 @@ commit after it appends ``max_rel_diff X`` to each hashed line.  ``X`` is
 the largest over the label's arrays of ``max|new - old| / max|old|``; an
 integer array, or one whose shape changed, counts as 0 when equal and
 ``inf`` otherwise, and a label with nothing saved shows ``missing``.  A
-sparse matrix (K and the local operators) is rebuilt from its saved
+sparse matrix (K, the local operators, ``R`` and ``S_pp``) is rebuilt from its saved
 ``(indptr, indices, data)`` and ``X`` is ``max|A_new - A_old| / max|A_old|``
 over its entries, so a change of which entries are stored does not hide
 how far the values moved.  Compared with a directory saved before the
 global stiffness A and coupling M were dropped (K has been the sum of the
 local operators since), the saved A and M files are simply not read; nor
 is the dense ``coarse_matrix`` saved before the coarse operator was
-sparse, so ``coarse_operator`` shows ``missing`` against such a directory.
+sparse, so ``coarse_operator`` shows ``missing`` against such a directory,
+and ``restrict``, which replaced the per-substructure ``Q[i]`` lines,
+shows ``missing`` against a directory saved before it.
 
 The meshes are the two-cell row (2x1x1, default parameters) and the
 meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
@@ -30,10 +32,11 @@ meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
 ``local_to_global`` and local operator matrix, the interface operator applied to a seeded vector, and
 the reduced load and the recovered solution for a seeded compatible
 load; per primal space the preconditioner applied to the same vector
-and to a seeded block of three columns (the block path), every
-substructure's ``Q = H^{-1} [I_m; 0]`` (its multiplier system
-solved for unit targets, whose leading rows are its block of the coarse
-matrix), the sparse coarse operator ``S_pp`` as factored, and one
+and to a seeded block of three columns (the block path), the coarse
+restriction ``R`` (every substructure's ``Q^T``, ``Q = H^{-1} [I_m; 0]``
+its multiplier system solved for unit targets, at its class ids; the
+leading rows of ``Q`` are its block of the coarse matrix), the sparse
+coarse operator ``S_pp`` as factored, and one
 ``solve_interface`` of the seeded load at the studies' default ``tol``
 and ``maxiter``: the recovered solution is hashed (``solution``), and
 its iteration count and kappa estimate are printed as numbers, so a
@@ -101,11 +104,13 @@ def max_rel_diff(new, old) -> float:
 
 
 def csr_rel_diff(new, old) -> float:
-    """``max|A_new - A_old| / max|A_old|`` of two square matrices, each given
-    as its CSR ``(indptr, indices, data)``, whatever entries each stores."""
-    a, b = (sp.csr_matrix((d, i, p), shape=(len(p) - 1,) * 2) for p, i, d in (new, old))
-    if a.shape != b.shape:
+    """``max|A_new - A_old| / max|A_old|`` of two matrices, each given as
+    its CSR ``(indptr, indices, data)``, whatever entries each stores; both
+    are read as wide as the largest column index either stores."""
+    if len(new[0]) != len(old[0]):
         return np.inf
+    cols = 1 + max((int(i.max()) for _, i, _ in (new, old) if i.size), default=0)
+    a, b = (sp.csr_matrix((d, i, p), shape=(len(p) - 1, cols)) for p, i, d in (new, old))
     return rel_diff(abs(a - b).max(), abs(b).max())
 
 
@@ -201,8 +206,7 @@ def main(argv=None) -> int:
                 continue
             out.hashed(f"{tag} bddc_apply", lambda: (pc.apply(v),))
             out.hashed(f"{tag} bddc_apply_block", lambda: (pc.apply(block),))
-            for lo, solver in zip(ops.local_ops, pc.solvers):
-                out.hashed(f"{tag} Q[{lo.sub}]", lambda: (solver.q,))
+            out.matrix(f"{tag} restrict", pc._restrict)
             out.matrix(f"{tag} coarse_operator", pc._coarse_matrix())
             result = stage(f"{tag} solve", lambda: solve_interface(
                 problem, pc, f, tol=STUDY.tol, maxiter=STUDY.maxiter))
