@@ -125,12 +125,17 @@ class LocalOperator:
     ``matrix``, the Neumann matrix of every primal space (see
     :class:`~emibddc.bddc.BddcPreconditioner`).  It is built on first use
     and lives as long as the operator, so every primal space built on one
-    problem shares it.
+    problem shares it.  ``solved`` holds the largest multiplier basis
+    solved against it so far (see
+    :func:`~emibddc.sparsela.multiplier_basis`): a primal space whose rows
+    are all among its rows, ``ve`` after ``vef``, reads its basis off it
+    with no solve.
     """
 
     sub: int
     matrix: sp.csr_matrix    # tau * stiffness + half interface mass
     n_interior: int
+    solved: list = field(default_factory=list, compare=False, repr=False)  # one basis at most
 
     @cached_property
     def neumann(self) -> SPDSolver:

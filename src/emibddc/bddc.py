@@ -15,10 +15,14 @@ through the multipliers of :func:`~emibddc.sparsela.multiplier_basis`, so
 each substructure's Neumann matrix is its full local operator, pinned at
 one entry for its constant kernel.  Its sparse LU factorization is built
 once per problem as ``LocalOperator.neumann`` and shared by ``vef`` and
-``ve``; each preconditioner keeps only its own folded multiplier basis
-``V = W H^{-1}`` at the interface rows (``W`` the multiplier basis, ``H``
-the dense multiplier matrix), and writes the small ``Q = H^{-1} [I_m; 0]``
-into the coarse restriction below.
+``ve``.  Each preconditioner keeps the multiplier basis ``W`` at the
+interface rows and the explicit inverse of the dense multiplier matrix
+``H``, whose leading columns ``Q = H^{-1} [I_m; 0]`` it writes into the
+coarse restriction below.  The problem keeps the largest basis solved so
+far beside each factor (``LocalOperator.solved``): each substructure's
+``ve`` rows are among its ``vef`` rows, so ``ve`` built after ``vef``
+takes its ``H`` as a principal submatrix of ``vef``'s and its ``W`` as a
+set of ``vef``'s columns, with no Neumann solve.
 
 The coarse basis ``psi = W Q`` of a substructure minimizes local energy
 subject to unit value on one class and zero on the others, but it is never
@@ -32,25 +36,27 @@ local vector in turn) through operators stacked over all substructures at
 set-up: the scaled scatter of the assembled interface into its interface
 positions (the scaled assembly is its transpose), the block-diagonal
 ``Ct`` of every substructure's constraint rows, pin rows included, the
-coarse restriction ``R`` holding each substructure's ``Q^T`` at its class
-ids, and the coarse spread ``E``, the 0/1 matrix that maps each
-constraint row to its class id and a pin row to nothing.  The coarse
-operator is ``S_pp = (R E)^T``, symmetrized against the round-off of
-``H^{-1}``; the coarse image of the constant vector is its kernel, so it
-is factored like a Neumann matrix, pinned at one entry.  With ``y`` the
-Neumann solves of the scattered residual,
+block-diagonal ``H^{-1}``, the coarse restriction ``R`` holding each
+substructure's ``Q^T`` at its class ids, and the coarse spread ``E``, the
+0/1 matrix that maps each constraint row to its class id and a pin row
+to nothing.  The coarse operator is ``S_pp = (R E)^T``, symmetrized
+against the round-off of ``H^{-1}``; the coarse image of the constant
+vector is its kernel, so it is factored like a Neumann matrix, pinned at
+one entry.  With ``y`` the Neumann solves of the scattered residual,
 
-    c = Ct y,   rho = R c - mean,   z = S_pp^{-1} rho - mean,
-    d = E z - c,   y_Gamma += V d;
+    c = Ct y,   g = H^{-1} c,   rho = E^T g - mean,
+    z = S_pp^{-1} rho - mean,   d = R^T z - g,   y_Gamma += W d;
 
-for a zero-mean ``rho`` the pinned solve returns a solution of
-``S_pp z = rho``, and removing its mean makes ``z`` the pseudo-inverse's
-``S_pp^+ rho``.  The scaled assembly of ``y`` is the result.  Every step
-is one call over all substructures but the Neumann solves and the ``V``
-products, no step makes a LAPACK call, and the residual may be one vector
-or a block of columns.
+``E^T g`` is ``R c`` and ``R^T z`` is ``H^{-1} E z``, as ``H`` is
+symmetric, so ``W d`` is the constrained correction
+``W H^{-1} (E z - c)``.  For a zero-mean ``rho`` the pinned solve returns
+a solution of ``S_pp z = rho``, and removing its mean makes ``z`` the
+pseudo-inverse's ``S_pp^+ rho``.  The scaled assembly of ``y`` is the
+result.  Every step is one call over all substructures but the Neumann
+solves and the ``W`` products, no step makes a LAPACK call, and the
+residual may be one vector or a block of columns.
 
-The Neumann solves and the ``V`` products run substructure by substructure
+The Neumann solves and the ``W`` products run substructure by substructure
 on the calling thread, each writing only its own slices of the stacked
 vector, but for one overlap: on a host with more than one core, when the
 largest Neumann factor holds at least ``OVERLAP_NNZ`` entries, the
@@ -81,7 +87,7 @@ import scipy.sparse as sp
 
 from .errors import ConstraintError, FactorizationError
 from .femspace import ConstraintSet, DofMap
-from .sparsela import SPDSolver, multiplier_basis
+from .sparsela import SPDSolver, multiplier_basis, multiplier_inverse
 
 __all__ = ["build_scaling", "BddcPreconditioner"]
 
@@ -120,7 +126,7 @@ def _constraint_matrix(rows, n_loc: int) -> sp.csr_matrix:
 class BddcPreconditioner:
     """Two-level preconditioner for the assembled interface operator.
 
-    Per substructure it keeps the Neumann factor and ``V`` at the interface
+    Per substructure it keeps the Neumann factor and ``W`` at the interface
     rows; the apply otherwise works on the stacked operators built here.
     """
 
@@ -140,7 +146,7 @@ class BddcPreconditioner:
         self.delta = build_scaling(dofmap, sigma)
         self.coarse_dim = n = constraints.coarse_dim
 
-        self._factors, self._v, cts = [], [], []
+        self._factors, self._w, cts, h_invs = [], [], [], []
         pos = np.empty(dofmap.n_broken, dtype=np.int64)
         local_ptr, row_ptr = [0], [0]
         r_rows, r_cols, r_vals, e_rows, e_cols = [], [], [], [], []
@@ -154,16 +160,23 @@ class BddcPreconditioner:
                 )
             n_loc = lo.matrix.shape[0]
             iface = np.arange(lo.n_interior, n_loc)
-            # applies only ever need interface rows of the solution
-            ct, v, q = multiplier_basis(lo.neumann, _constraint_matrix(rows, n_loc), iface)
+            # applies only ever need interface rows of the solution; the
+            # largest basis solved on this problem serves any later rows it holds
+            solved = lo.solved[0] if lo.solved else None
+            c = _constraint_matrix(rows, n_loc)
+            ct, h, w = basis = multiplier_basis(lo.neumann, c, iface, solved)
+            if solved is None or len(h) > len(solved[1]):
+                lo.solved[:] = [basis]
+            h_inv = multiplier_inverse(h, lo.neumann.label)
             self._factors.append(lo.neumann)
-            self._v.append(v)
+            self._w.append(w)
             cts.append(ct)
+            h_invs.append(h_inv)
             ids = np.array([cid for cid, _ in rows], dtype=np.int64)
             m, mt = len(ids), ct.shape[0]
             r_rows.append(np.repeat(ids, mt))
             r_cols.append(row_ptr[-1] + np.tile(np.arange(mt), m))
-            r_vals.append(q.T.ravel())
+            r_vals.append(h_inv[:, :m].T.ravel())  # Q^T
             e_rows.append(row_ptr[-1] + np.arange(m))
             e_cols.append(ids)
             pos[dofmap.gamma_slice(lo.sub)] = local_ptr[-1] + iface
@@ -171,13 +184,14 @@ class BddcPreconditioner:
             row_ptr.append(row_ptr[-1] + mt)
 
         self._local = [slice(a, b) for a, b in zip(local_ptr, local_ptr[1:])]
-        self._iface = [slice(b - len(v), b) for v, b in zip(self._v, local_ptr[1:])]
+        self._iface = [slice(b - len(w), b) for w, b in zip(self._w, local_ptr[1:])]
         self._rows = [slice(a, b) for a, b in zip(row_ptr, row_ptr[1:])]
         self._scatter = sp.csr_matrix(
             (self.delta, (pos, dofmap.bro_gamma)), shape=(local_ptr[-1], dofmap.n_gamma)
         )
         self._assemble = self._scatter.T.tocsr()
         self._ct = sp.block_diag(cts, format="csr")
+        self._h_inv = sp.block_diag(h_invs, format="csr")
         self._restrict = sp.csr_matrix(
             (np.concatenate(r_vals), (np.concatenate(r_rows), np.concatenate(r_cols))),
             shape=(n, row_ptr[-1]),
@@ -186,6 +200,8 @@ class BddcPreconditioner:
         self._spread = sp.csr_matrix(
             (np.ones(len(e_rows)), (e_rows, np.concatenate(e_cols))), shape=(row_ptr[-1], n)
         )
+        self._gather = self._spread.T.tocsr()
+        self._extend = self._restrict.T.tocsr()
         self._coarse = SPDSolver(self._coarse_matrix(), label="coarse operator", pin=True)
         nnz = [f.nnz for f in self._factors]
         big = int(np.argmax(nnz))
@@ -225,15 +241,15 @@ class BddcPreconditioner:
             raise FactorizationError(
                 f"solve with {self._factors[bad].label} produced non-finite values"
             )
-        c = self._ct @ y
-        rho = self._restrict @ c
+        g = self._h_inv @ (self._ct @ y)
+        rho = self._gather @ g
         rho -= rho.mean(axis=0)
         z = self._coarse.solve(rho)
         z -= z.mean(axis=0)
-        d = self._spread @ z
-        d -= c
-        for v, sl, rows in zip(self._v, self._iface, self._rows):
-            y[sl] += v @ d[rows]
+        d = self._extend @ z
+        d -= g
+        for w, sl, rows in zip(self._w, self._iface, self._rows):
+            y[sl] += w @ d[rows]
         return self._assemble @ y
 
     def apply_ED(self, w_bro: np.ndarray) -> np.ndarray:

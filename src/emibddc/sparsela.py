@@ -37,13 +37,18 @@ Two building blocks:
   ``W = (A + rho*e_p*e_p^T)^{-1} Ct^T`` and the dense ``H = Ct W - D``,
   the solution for a load ``b`` and targets ``g`` is
 
-      u = y + V ([g; 0] - Ct y),   y = (A + rho*e_p*e_p^T)^{-1} b,   V = W H^{-1}.
+      u = y + W H^{-1} ([g; 0] - Ct y),   y = (A + rho*e_p*e_p^T)^{-1} b.
 
-  ``V`` is formed once, at set-up, so a solve (the BDDC M-apply stacks
-  them) is one sparse solve, one sparse product with ``Ct`` and one dense
-  product with ``V``, and the targets need no sparse solve.
-  ``Q = H^{-1} [I_m; 0]`` (the first ``m`` columns of ``V`` are ``W Q``)
-  is the energy of the extensions:
+  ``W`` is solved once, at set-up, a fixed number of columns at a time,
+  and kept at the rows the caller reads; :func:`multiplier_inverse` forms
+  ``H^{-1}`` from the LU that refuses dependent rows.  A solve (the BDDC
+  M-apply stacks them) is then one sparse solve, one sparse product with
+  ``Ct``, one with ``H^{-1}`` and one dense product with ``W``, and the
+  targets need no sparse solve.  Constraint rows that are all among an
+  earlier call's rows need no sparse solve either: their ``H`` is a
+  principal submatrix of its ``H`` and their ``W`` a set of its columns.
+  ``Q = H^{-1} [I_m; 0]``, the leading columns of ``H^{-1}``, is the
+  energy of the extensions:
   ``psi = W Q`` minimizes ``psi^T A psi`` subject to ``C psi = I_m``, and
   ``psi^T A psi = Q[:m]``, since
   ``psi^T (A + rho*e_p*e_p^T) psi = Q[:m] + Q^T D Q`` and the pin adds
@@ -69,9 +74,9 @@ try:  # glibc's malloc_trim; None where the C library has none
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
 
-__all__ = ["SPDSolver", "multiplier_basis"]
+__all__ = ["SPDSolver", "multiplier_basis", "multiplier_inverse"]
 
-_FOLD_ROWS = 1024  # rows of W per in-place block of the V = W H^{-1} fold
+SOLVE_COLS = 32  # columns of W per block solve in multiplier_basis
 
 
 class SPDSolver:
@@ -168,51 +173,74 @@ class SPDSolver:
         return out[:, 0] if rhs.ndim == 1 else out
 
 
-def multiplier_basis(factor: SPDSolver, constraints, rows) -> tuple:
-    """The pieces ``(ct, v, q)`` of the constrained solves against ``factor``.
+def multiplier_basis(factor: SPDSolver, constraints, rows, solved=None) -> tuple:
+    """The pieces ``(ct, h, w)`` of the constrained solves against ``factor``.
 
     ``factor`` is the :class:`SPDSolver` of the matrix, built with
     ``pin=True`` when the matrix may hold the constant vector in its kernel
     (``ct`` then ends in the pin row) and ``pin=False`` when it is positive
     definite; several calls may share one factor.  ``constraints`` are the
-    sparse constraint rows (``m`` x ``n``).  ``ct`` is ``Ct`` in CSR, ``v``
-    is ``V = W H^{-1}`` at ``rows`` alone, C-contiguous, and ``q`` is
-    ``Q = H^{-1} [I_m; 0]`` (``m + 1`` rows with the pin, else ``m``).
+    sparse constraint rows (``m`` x ``n``).  ``ct`` is ``Ct`` in CSR, ``h``
+    the dense multiplier matrix ``H = Ct W - D`` and ``w`` the multiplier
+    basis ``W`` at ``rows`` alone, C-contiguous.  ``W`` is solved
+    ``SOLVE_COLS`` columns at a time, and only ``H`` and ``W[rows]`` are
+    kept of each block.
+
+    ``solved`` is the ``(ct, h, w)`` of an earlier call with the same
+    factor and ``rows``.  When each of the constraint rows is one of its
+    rows, with the same dofs and weights, the pieces are read off it with
+    no solve: ``h`` is a principal submatrix of its ``h`` and ``w`` a set
+    of its columns.
     """
     label = factor.label or "?"
     constraints = constraints.tocsr()
     if constraints.shape[1] != factor.n:
         raise FactorizationError(f"constraint rows for {label} have wrong width")
-    m = constraints.shape[0]
     if factor.rho:
         pin_row = sp.coo_matrix(([1.0], ([0], [0])), shape=(1, factor.n)).tocsr()
         ct = sp.vstack([constraints, pin_row]).tocsr()
     else:
         ct = constraints
+    mt = ct.shape[0]
 
-    w = factor.solve(ct.T.toarray())
-    h = ct @ w
+    if solved is not None:
+        known = {key: k for k, key in enumerate(_row_keys(solved[0]))}
+        cols = [known.get(key) for key in _row_keys(ct)]
+        if None not in cols:
+            return ct, solved[1][np.ix_(cols, cols)], np.ascontiguousarray(solved[2][:, cols])
+
+    rows = np.asarray(rows)
+    h = np.empty((mt, mt))
+    w = np.empty((len(rows), mt))
+    cols_t = ct.T.tocsc()
+    for c in range(0, mt, SOLVE_COLS):
+        block = factor.solve(cols_t[:, c:c + SOLVE_COLS].toarray())
+        h[:, c:c + SOLVE_COLS] = ct @ block
+        w[:, c:c + SOLVE_COLS] = block[rows]
     if factor.rho:
         h[-1, -1] -= 1.0 / factor.rho
-    # only W[rows] is folded into V, and the full W goes before the fold
-    w = np.ascontiguousarray(w[rows])
+    return ct, h, w
+
+
+def _row_keys(matrix: sp.csr_matrix):
+    """Each CSR row's dofs and weights, as one hashable key per row."""
+    return [
+        (matrix.indices[a:b].astype(np.int64).tobytes(), matrix.data[a:b].tobytes())
+        for a, b in zip(matrix.indptr, matrix.indptr[1:])
+    ]
+
+
+def multiplier_inverse(h: np.ndarray, label: str = "") -> np.ndarray:
+    """``H^{-1}``, explicit, from an LU of ``h`` that refuses dependent
+    constraint rows (a singular or nearly singular pivot)."""
     try:
         with np.errstate(invalid="raise"), warnings.catch_warnings():
             # singular pivots are caught explicitly below
             warnings.simplefilter("ignore", sla.LinAlgWarning)
             h_lu = sla.lu_factor(h)
     except (ValueError, sla.LinAlgError, FloatingPointError) as exc:
-        raise FactorizationError(f"dependent constraint rows for {label}") from exc
+        raise FactorizationError(f"dependent constraint rows for {label or '?'}") from exc
     piv = np.abs(np.diag(h_lu[0]))
     if piv.size and piv.min() <= 1e-13 * max(piv.max(), 1.0):
-        raise FactorizationError(f"dependent constraint rows for {label}")
-    q = sla.lu_solve(h_lu, np.eye(ct.shape[0], m))
-    # V = W H^{-1} as H^T V^T = W^T, written over the row-major W one block
-    # of rows at a time (LAPACK takes its rows as columns).  One whole-height
-    # block through a copy raised the peak RSS of the rhs-stream benchmark
-    # workload by 11 MiB, blocks of 1,024 rows by 1.5.
-    for r in range(0, len(w), _FOLD_ROWS):
-        w[r:r + _FOLD_ROWS] = sla.lu_solve(
-            h_lu, w[r:r + _FOLD_ROWS].T, trans=1, overwrite_b=True
-        ).T
-    return ct, w, q
+        raise FactorizationError(f"dependent constraint rows for {label or '?'}")
+    return sla.lu_solve(h_lu, np.eye(len(h)))

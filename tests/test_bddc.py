@@ -13,7 +13,7 @@ from emibddc.femspace import build_composite_space, build_primal_constraints
 from emibddc.geometry import Mesh, MeshConfig, build_mesh, extract_interfaces
 from emibddc.harness import Problem, build_problem, make_preconditioner
 from emibddc.schur import condense
-from emibddc.sparsela import SPDSolver, multiplier_basis
+from emibddc.sparsela import SPDSolver, multiplier_basis, multiplier_inverse
 
 
 def test_scaling_values_on_membrane_and_junction(problem_2cell):
@@ -198,15 +198,15 @@ def test_coarse_space_ordering(problem_2cell, precond_2cell_vef, precond_2cell_v
 
 def _coarse_basis(pc, lo):
     """The energy-minimal coarse basis of one substructure on all its local
-    dofs, ``psi = W Q``: the leading columns of ``V`` at every row, its
+    dofs, ``psi = W Q`` with ``Q`` the leading columns of ``H^{-1}``: its
     response to no load and unit targets."""
     rows = pc.constraints.rows_of(lo.sub)
     n_loc = lo.matrix.shape[0]
     c = np.zeros((len(rows), n_loc))
     for r, (_, row) in enumerate(rows):
         c[r, row.local_dofs] = row.weights
-    _, v, _ = multiplier_basis(lo.neumann, sp.csr_matrix(c), np.arange(n_loc))
-    return v[:, : len(rows)]
+    _, h, w = multiplier_basis(lo.neumann, sp.csr_matrix(c), np.arange(n_loc))
+    return w @ multiplier_inverse(h)[:, : len(rows)]
 
 
 def test_coarse_basis_interpolates_constraints(problem_2cell, patch_mesh, patch_topo):
@@ -344,6 +344,31 @@ def test_neumann_factor_shared_between_primal_spaces(which, patch_mesh, monkeypa
 
 
 @pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
+def test_ve_after_vef_takes_no_neumann_solve(which, patch_mesh, monkeypatch):
+    """ve built after vef on one problem reads each substructure's basis
+    off vef's, with no solve against a Neumann factor, and applies a block
+    of residuals as ve built on a fresh problem does, to round-off."""
+    problem = _problem_on(which, patch_mesh)
+    make_preconditioner(problem, "vef")
+    labels = []
+    original = SPDSolver.solve
+
+    def counting(self, rhs):
+        labels.append(self.label)
+        return original(self, rhs)
+
+    monkeypatch.setattr(SPDSolver, "solve", counting)
+    reused = make_preconditioner(problem, "ve")
+    monkeypatch.undo()
+    assert not [label for label in labels if "dual block" in label]
+
+    fresh = make_preconditioner(_problem_on(which, patch_mesh), "ve")
+    block = np.random.default_rng(33).standard_normal((problem.dofmap.n_gamma, 3))
+    expected = fresh.apply(block)
+    npt.assert_allclose(reused.apply(block), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
 def test_coarse_operator_and_residual_from_multipliers(which, patch_mesh):
     """The coarse block each substructure writes into the coarse
     restriction R, Q[:m], is psi^T K psi of its coarse basis with the pin
@@ -389,12 +414,6 @@ def test_coarse_operator_without_energy_fails_at_set_up(problem_2cell, monkeypat
     """Coarse blocks Q of zero make a coarse operator with no energy: its
     factorization raises, so no apply is left to produce NaN."""
 
-    original = bddc.multiplier_basis
-
-    def weightless(*args):
-        ct, v, q = original(*args)
-        return ct, v, np.zeros_like(q)
-
-    monkeypatch.setattr(bddc, "multiplier_basis", weightless)
+    monkeypatch.setattr(bddc, "multiplier_inverse", lambda h, label: np.zeros_like(h))
     with pytest.raises(FactorizationError, match="coarse operator"):
         make_preconditioner(problem_2cell, "vef")

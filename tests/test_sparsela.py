@@ -7,7 +7,8 @@ from emibddc.assembly import ModelParams
 from emibddc.errors import FactorizationError
 from emibddc.geometry import BATH, MeshConfig
 from emibddc.harness import build_problem
-from emibddc.sparsela import SPDSolver, multiplier_basis
+from emibddc import sparsela
+from emibddc.sparsela import SPDSolver, multiplier_basis, multiplier_inverse
 
 
 def _random_spd(n, rng, density=0.4):
@@ -24,24 +25,26 @@ def _random_psd_with_constant_kernel(n, rng):
 
 
 def _basis(factor, c):
-    """``multiplier_basis`` with ``V`` at every row."""
-    return multiplier_basis(factor, c, np.arange(factor.n))
+    """The pieces the BDDC M-apply reads, ``(Ct, H^{-1}, W)``, with ``W``
+    at every row."""
+    ct, h, w = multiplier_basis(factor, c, np.arange(factor.n))
+    return ct, multiplier_inverse(h, factor.label), w
 
 
-def _solution(factor, ct, v, b, g=None):
+def _solution(factor, ct, h_inv, w, b, g=None):
     """The constrained solution from the pieces the BDDC M-apply reads:
-    ``y + V ([g; 0] - Ct y)`` with ``y`` the factor's solve of ``b``."""
+    ``y + W H^{-1} ([g; 0] - Ct y)`` with ``y`` the factor's solve of ``b``."""
     y = factor.solve(b)
     d = -(ct @ y)
     if g is not None:
         d[: len(g)] += g
-    return y + v @ d
+    return y + w @ (h_inv @ d)
 
 
 def _dense_pieces(a, c, rho):
-    """``V = W H^{-1}`` and ``Q = H^{-1} [I_m; 0]`` from the dense pinned
-    matrix (``rho`` 0 for no pin)."""
-    n, m = a.shape[0], c.shape[0]
+    """``H^{-1}`` and ``W`` from the dense pinned matrix (``rho`` 0 for no
+    pin)."""
+    n = a.shape[0]
     ct = np.vstack([c, np.eye(1, n)]) if rho else c
     pinned = a.copy()
     pinned[0, 0] += rho
@@ -49,8 +52,7 @@ def _dense_pieces(a, c, rho):
     h = ct @ w
     if rho:
         h[-1, -1] -= 1.0 / rho
-    h_inv = np.linalg.inv(h)
-    return w @ h_inv, h_inv[:, :m]
+    return np.linalg.inv(h), w
 
 
 def _dense_kkt(a, c, b, g):
@@ -113,12 +115,12 @@ def test_constrained_matches_dense_kkt_spd():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     factor = SPDSolver(a)
-    ct, v, q = _basis(factor, c)
+    ct, h_inv, w = _basis(factor, c)
     assert ct.shape == (m, n)
-    v_ref, q_ref = _dense_pieces(a.toarray(), c.toarray(), 0.0)
-    npt.assert_allclose(v, v_ref, rtol=1e-9, atol=1e-12)
-    npt.assert_allclose(q, q_ref, rtol=1e-9, atol=1e-12)
-    u = _solution(factor, ct, v, b, g)
+    h_inv_ref, w_ref = _dense_pieces(a.toarray(), c.toarray(), 0.0)
+    npt.assert_allclose(w, w_ref, rtol=1e-9, atol=1e-12)
+    npt.assert_allclose(h_inv, h_inv_ref, rtol=1e-9, atol=1e-12)
+    u = _solution(factor, ct, h_inv, w, b, g)
     npt.assert_allclose(u, _dense_kkt(a.toarray(), c.toarray(), b, g), rtol=1e-9)
     npt.assert_allclose(c @ u, g, atol=1e-9)
 
@@ -134,16 +136,17 @@ def test_constrained_matches_dense_kkt_singular():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     factor = SPDSolver(a, pin=True)
-    ct, v, q = _basis(factor, c)
+    ct, h_inv, w = _basis(factor, c)
     # Ct is the constraint rows and the pin row at entry 0
     npt.assert_array_equal(ct.toarray(), np.vstack([c.toarray(), np.eye(1, n)]))
-    v_ref, q_ref = _dense_pieces(a.toarray(), c.toarray(), factor.rho)
-    npt.assert_allclose(v, v_ref, rtol=1e-8, atol=1e-10)
-    npt.assert_allclose(q, q_ref, rtol=1e-8, atol=1e-10)
-    # Q[:m] is the energy of the extensions psi = W Q = V[:, :m], the pin taken out
-    psi = v[:, :m]
+    h_inv_ref, w_ref = _dense_pieces(a.toarray(), c.toarray(), factor.rho)
+    npt.assert_allclose(w, w_ref, rtol=1e-8, atol=1e-10)
+    npt.assert_allclose(h_inv, h_inv_ref, rtol=1e-8, atol=1e-10)
+    # Q[:m] is the energy of the extensions psi = W Q, the pin taken out
+    q = h_inv[:, :m]
+    psi = w @ q
     npt.assert_allclose(q[:m], psi.T @ a @ psi, rtol=1e-8, atol=1e-10)
-    u = _solution(factor, ct, v, b, g)
+    u = _solution(factor, ct, h_inv, w, b, g)
     # dense reference: KKT with the same pin construction is equivalent to
     # the original singular KKT, which we solve via lstsq on the full system
     n_tot = n + m
@@ -158,15 +161,14 @@ def test_constrained_matches_dense_kkt_singular():
 
 
 def test_constrained_zero_targets_default():
-    """Zero targets, the M-apply's dual correction ``y - V Ct y``, hold the
-    constrained average at zero."""
+    """Zero targets, the M-apply's dual correction ``y - W H^{-1} Ct y``,
+    hold the constrained average at zero."""
     rng = np.random.default_rng(3)
     n = 20
     a = _random_psd_with_constant_kernel(n, rng)
     c = sp.csr_matrix(np.ones((1, n)) / n)
     factor = SPDSolver(a, pin=True)
-    ct, v, _ = _basis(factor, c)
-    u = _solution(factor, ct, v, rng.standard_normal(n))
+    u = _solution(factor, *_basis(factor, c), rng.standard_normal(n))
     npt.assert_allclose(u.mean(), 0.0, atol=1e-10)
 
 
@@ -182,8 +184,7 @@ def test_constrained_energy_minimization():
     b = rng.standard_normal(n)
     g = rng.standard_normal(m)
     factor = SPDSolver(a, pin=True)
-    ct, v, _ = _basis(factor, c)
-    u = _solution(factor, ct, v, b, g)
+    u = _solution(factor, *_basis(factor, c), b, g)
     energy = lambda v: 0.5 * v @ ad @ v - b @ v
     e0 = energy(u)
     basis = np.linalg.svd(c_rows)[2][m:]  # null space of the constraints
@@ -193,9 +194,9 @@ def test_constrained_energy_minimization():
 
 
 def test_basis_at_rows_restricts_solution():
-    """``V`` asked for at some rows is the all-rows ``V`` at those rows,
-    C-contiguous, and with the load response taken at the same rows it
-    gives the solution there."""
+    """``W`` asked for at some rows is the all-rows ``W`` at those rows,
+    C-contiguous, with the same ``H``, and with the load response taken at
+    the same rows it gives the solution there."""
     rng = np.random.default_rng(5)
     n = 18
     a = _random_spd(n, rng)
@@ -203,15 +204,95 @@ def test_basis_at_rows_restricts_solution():
     b = rng.standard_normal(n)
     g = rng.standard_normal(2)
     factor = SPDSolver(a)
-    ct, v_all, _ = _basis(factor, c)
+    ct, h_all, w_all = multiplier_basis(factor, c, np.arange(n))
     rows = np.array([0, 5, 11])
-    _, v, _ = multiplier_basis(factor, c, rows)
-    npt.assert_array_equal(v, v_all[rows])
-    assert v.flags.c_contiguous
+    _, h, w = multiplier_basis(factor, c, rows)
+    npt.assert_array_equal(w, w_all[rows])
+    npt.assert_array_equal(h, h_all)
+    assert w.flags.c_contiguous
+    h_inv = multiplier_inverse(h)
     y = factor.solve(b)
     d = -(ct @ y)
     d[:2] += g
-    npt.assert_allclose(y[rows] + v @ d, _solution(factor, ct, v_all, b, g)[rows], rtol=1e-12)
+    npt.assert_allclose(
+        y[rows] + w @ (h_inv @ d),
+        _solution(factor, ct, h_inv, w_all, b, g)[rows],
+        rtol=1e-12,
+    )
+
+
+def test_blocked_basis_matches_dense_kkt(monkeypatch):
+    """A basis of more columns than one block is solved block by block,
+    each block through ``SPDSolver.solve``, and its solution matches a
+    dense KKT solve."""
+    rng = np.random.default_rng(10)
+    n, m = 90, sparsela.SOLVE_COLS + 8
+    a = _random_spd(n, rng, density=0.1)
+    c = sp.csr_matrix(rng.standard_normal((m, n)))
+    b = rng.standard_normal(n)
+    g = rng.standard_normal(m)
+    factor = SPDSolver(a)
+    calls = []
+    original = SPDSolver.solve
+
+    def counting(self, rhs):
+        calls.append(rhs.shape)
+        return original(self, rhs)
+
+    monkeypatch.setattr(SPDSolver, "solve", counting)
+    pieces = _basis(factor, c)
+    monkeypatch.undo()
+    assert calls == [(n, sparsela.SOLVE_COLS), (n, 8)]
+    u = _solution(factor, *pieces, b, g)
+    npt.assert_allclose(u, _dense_kkt(a.toarray(), c.toarray(), b, g), rtol=1e-9, atol=1e-12)
+
+
+def test_non_finite_block_names_factor():
+    """A block solve that produces non-finite values raises, naming the
+    factor's label."""
+    rng = np.random.default_rng(11)
+    n = 60
+    factor = SPDSolver(_random_psd_with_constant_kernel(n, rng), label="bath", pin=True)
+    c = sp.csr_matrix(rng.standard_normal((sparsela.SOLVE_COLS + 3, n)))
+    blocks = []
+
+    def second_block_breaks(rhs):
+        blocks.append(rhs.shape[1])
+        out = np.array(rhs)
+        if len(blocks) == 2:
+            out[0, 0] = np.inf
+        return out
+
+    factor._substitute = second_block_breaks
+    with pytest.raises(FactorizationError, match="bath"):
+        multiplier_basis(factor, c, np.arange(n))
+    assert blocks == [sparsela.SOLVE_COLS, 4]
+
+
+def test_rows_of_an_earlier_basis_take_no_solve(monkeypatch):
+    """Constraint rows that are all among an earlier call's rows, in any
+    order, are read off its pieces with no solve: ``H`` as a principal
+    submatrix and ``W`` as a set of columns, the pin row's included."""
+    rng = np.random.default_rng(12)
+    n = 30
+    a = _random_psd_with_constant_kernel(n, rng)
+    c_rows = rng.standard_normal((5, n))
+    c_rows[0] += 1.0
+    factor = SPDSolver(a, pin=True)
+    rows = np.arange(10, n)
+    solved = multiplier_basis(factor, sp.csr_matrix(c_rows), rows)
+    monkeypatch.setattr(SPDSolver, "solve", None)  # any solve would raise
+    ct, h, w = multiplier_basis(factor, sp.csr_matrix(c_rows[[3, 0]]), rows, solved)
+    monkeypatch.undo()
+    cols = [3, 0, 5]
+    npt.assert_array_equal(ct.toarray(), solved[0][cols].toarray())
+    npt.assert_array_equal(h, solved[1][np.ix_(cols, cols)])
+    npt.assert_array_equal(w, solved[2][:, cols])
+    assert w.flags.c_contiguous
+    # a row that is not among them takes a solve of its own
+    other = sp.csr_matrix(np.vstack([c_rows[1], rng.standard_normal(n)]))
+    _, h_new, _ = multiplier_basis(factor, other, rows, solved)
+    npt.assert_array_equal(h_new, multiplier_basis(factor, other, rows)[1])
 
 
 def test_constraint_width_checked():
@@ -246,20 +327,19 @@ def test_shared_factor_serves_several_constraint_sets():
         own_factor = SPDSolver(a, pin=True)
         own = _basis(own_factor, c)
         shared = _basis(factor, c)
-        for piece in (1, 2):  # V and Q
+        for piece in (1, 2):  # H^{-1} and W
             npt.assert_array_equal(shared[piece], own[piece])
         npt.assert_array_equal(shared[0].toarray(), own[0].toarray())
         npt.assert_array_equal(
-            _solution(factor, shared[0], shared[1], b, g),
-            _solution(own_factor, own[0], own[1], b, g),
+            _solution(factor, *shared, b, g), _solution(own_factor, *own, b, g)
         )
 
 
 def test_extend_takes_no_sparse_solve(monkeypatch):
     """Constraint targets cost no sparse solve: the extension of targets
-    ``g`` is ``V[:, :m] g``, made of the pieces alone, so a block load with
-    targets takes the one block solve of the load, and every column meets
-    its targets."""
+    ``g`` is ``W Q g`` with ``Q = H^{-1}[:, :m]``, made of the pieces alone,
+    so a block load with targets takes the one block solve of the load,
+    and every column meets its targets."""
     rng = np.random.default_rng(8)
     n, m = 20, 3
     a = _random_psd_with_constant_kernel(n, rng)
@@ -267,7 +347,8 @@ def test_extend_takes_no_sparse_solve(monkeypatch):
     c_rows[0] += 1.0
     c = sp.csr_matrix(c_rows)
     factor = SPDSolver(a, pin=True)
-    ct, v, _ = _basis(factor, c)
+    pieces = _basis(factor, c)
+    _, h_inv, w = pieces
     b = rng.standard_normal((n, 4))
     g = rng.standard_normal((m, 4))
     calls = []
@@ -278,11 +359,11 @@ def test_extend_takes_no_sparse_solve(monkeypatch):
         return original(self, rhs)
 
     monkeypatch.setattr(SPDSolver, "solve", counting)
-    extension = v[:, :m] @ g
+    extension = w @ (h_inv[:, :m] @ g)
     assert calls == []
-    loaded = _solution(factor, ct, v, b)
-    u = _solution(factor, ct, v, b, g)
-    single = _solution(factor, ct, v, b[:, 2], g[:, 2])
+    loaded = _solution(factor, *pieces, b)
+    u = _solution(factor, *pieces, b, g)
+    single = _solution(factor, *pieces, b[:, 2], g[:, 2])
     monkeypatch.undo()
     assert calls == [(n, 4), (n, 4), (n,)]
     assert u.shape == (n, 4)

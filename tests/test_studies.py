@@ -56,29 +56,29 @@ GOLDEN = {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "vef",
-                "kappa_est": 4.750045197189503,
-                "polylog_model": 4.750045197189503,
+                "kappa_est": 4.750045197188235,
+                "polylog_model": 4.750045197188235,
             },
             {
                 "refinement": 0,
                 "hh": 4,
                 "primal_space": "ve",
-                "kappa_est": 4.748551125994875,
-                "polylog_model": 4.748551125994875,
+                "kappa_est": 4.7485511259938225,
+                "polylog_model": 4.7485511259938225,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "vef",
-                "kappa_est": 4.992188575565324,
-                "polylog_model": 7.910312489565096,
+                "kappa_est": 4.992188575565441,
+                "polylog_model": 7.910312489562984,
             },
             {
                 "refinement": 1,
                 "hh": 8,
                 "primal_space": "ve",
-                "kappa_est": 4.990672350718381,
-                "polylog_model": 7.907824393233264,
+                "kappa_est": 4.990672350718371,
+                "polylog_model": 7.907824393231511,
             },
         ],
     ),
@@ -96,9 +96,9 @@ GOLDEN = {
             "iter_min": 13.0,
             "iter_mean": 13.0,
             "iter_max": 13.0,
-            "kappa_min": 4.732510532571266,
-            "kappa_mean": 4.741763157572719,
-            "kappa_max": 4.750045197189503,
+            "kappa_min": 4.73251053257053,
+            "kappa_mean": 4.7417631575722625,
+            "kappa_max": 4.750045197188235,
         },
     ),
     "random_sigma": (
@@ -115,9 +115,9 @@ GOLDEN = {
             "iter_min": 10.0,
             "iter_mean": 11.166666666666666,
             "iter_max": 12.0,
-            "kappa_min": 2.704282951309463,
-            "kappa_mean": 2.861391299632592,
-            "kappa_max": 3.1137168903299104,
+            "kappa_min": 2.7042829513095015,
+            "kappa_mean": 2.8613912996326705,
+            "kappa_max": 3.113716890330378,
         },
     ),
     "random_sigma_convex": (
@@ -131,8 +131,8 @@ GOLDEN = {
             "iter_mean": 10.5,
             "iter_max": 11.0,
             "kappa_min": 2.6405091305066226,
-            "kappa_mean": 2.7106302249559393,
-            "kappa_max": 2.780751319405256,
+            "kappa_mean": 2.710630224955933,
+            "kappa_max": 2.780751319405243,
         },
     ),
 }

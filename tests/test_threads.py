@@ -123,7 +123,7 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
 @pytest.mark.parametrize("which", ["bddc", "bddc-coarse"])
 def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
     """A FactorizationError raised in substructure 1's Neumann solve on the
-    thread, or in its V product on the calling thread, comes out of the
+    thread, or in its W product on the calling thread, comes out of the
     apply as itself, and the next apply gives the same bits as the one
     before."""
     precond = make_preconditioner(problem_2cell, "vef")
@@ -137,20 +137,20 @@ def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
         threads.append(threading.current_thread() is threading.main_thread())
         raise FactorizationError("injected failure")
 
-    class BrokenV:
+    class BrokenW:
         __matmul__ = broken
 
-    # an instance attribute over the factor's method, or substructure 1's V
-    factor, saved_v = precond._factors[1], precond._v[1]
+    # an instance attribute over the factor's method, or substructure 1's W
+    factor, saved_w = precond._factors[1], precond._w[1]
     if which == "bddc":
         factor._substitute = broken
     else:
-        precond._v[1] = BrokenV()
+        precond._w[1] = BrokenW()
     try:
         with pytest.raises(FactorizationError, match="injected failure"):
             precond.apply(v)
     finally:
         vars(factor).pop("_substitute", None)
-        precond._v[1] = saved_v
+        precond._w[1] = saved_w
     assert threads == [which == "bddc-coarse"]
     assert np.array_equal(precond.apply(v), expected)

@@ -14,7 +14,7 @@ commit after it appends ``max_rel_diff X`` to each hashed line.  ``X`` is
 the largest over the label's arrays of ``max|new - old| / max|old|``; an
 integer array, or one whose shape changed, counts as 0 when equal and
 ``inf`` otherwise, and a label with nothing saved shows ``missing``.  A
-sparse matrix (K, the local operators, ``R`` and ``S_pp``) is rebuilt from its saved
+sparse matrix (K, the local operators, ``R``, ``H^{-1}`` and ``S_pp``) is rebuilt from its saved
 ``(indptr, indices, data)`` and ``X`` is ``max|A_new - A_old| / max|A_old|``
 over its entries, so a change of which entries are stored does not hide
 how far the values moved.  Compared with a directory saved before the
@@ -22,8 +22,10 @@ global stiffness A and coupling M were dropped (K has been the sum of the
 local operators since), the saved A and M files are simply not read; nor
 is the dense ``coarse_matrix`` saved before the coarse operator was
 sparse, so ``coarse_operator`` shows ``missing`` against such a directory,
-and ``restrict``, which replaced the per-substructure ``Q[i]`` lines,
-shows ``missing`` against a directory saved before it.
+``restrict``, which replaced the per-substructure ``Q[i]`` lines,
+shows ``missing`` against a directory saved before it, and so does
+``multiplier_inverse`` against one saved while the apply still folded
+``V = W H^{-1}``.
 
 The meshes are the two-cell row (2x1x1, default parameters) and the
 meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
@@ -35,8 +37,10 @@ load; per primal space the preconditioner applied to the same vector
 and to a seeded block of three columns (the block path), the coarse
 restriction ``R`` (every substructure's ``Q^T``, ``Q = H^{-1} [I_m; 0]``
 its multiplier system solved for unit targets, at its class ids; the
-leading rows of ``Q`` are its block of the coarse matrix), the sparse
-coarse operator ``S_pp`` as factored, and one
+leading rows of ``Q`` are its block of the coarse matrix), the stacked
+block-diagonal ``H^{-1}`` of every substructure's multiplier matrix (the
+explicit inverse the apply multiplies by; ``Q`` is its leading columns),
+the sparse coarse operator ``S_pp`` as factored, and one
 ``solve_interface`` of the seeded load at the studies' default ``tol``
 and ``maxiter``: the recovered solution is hashed (``solution``), and
 its iteration count and kappa estimate are printed as numbers, so a
@@ -207,6 +211,7 @@ def main(argv=None) -> int:
             out.hashed(f"{tag} bddc_apply", lambda: (pc.apply(v),))
             out.hashed(f"{tag} bddc_apply_block", lambda: (pc.apply(block),))
             out.matrix(f"{tag} restrict", pc._restrict)
+            out.matrix(f"{tag} multiplier_inverse", pc._h_inv)
             out.matrix(f"{tag} coarse_operator", pc._coarse_matrix())
             result = stage(f"{tag} solve", lambda: solve_interface(
                 problem, pc, f, tol=STUDY.tol, maxiter=STUDY.maxiter))
