@@ -128,8 +128,8 @@ class LocalOperator:
     problem shares it.  ``solved`` holds the largest multiplier basis
     solved against it so far (see
     :func:`~emibddc.sparsela.multiplier_basis`): a primal space whose rows
-    are all among its rows, ``ve`` after ``vef``, reads its basis off it
-    with no solve.
+    are its leading rows, ``ve`` after ``vef``, reads its basis off it at
+    those rows and the pin row, with no solve.
     """
 
     sub: int

@@ -17,12 +17,14 @@ one entry for its constant kernel.  Its sparse LU factorization is built
 once per problem as ``LocalOperator.neumann`` and shared by ``vef`` and
 ``ve``.  Each preconditioner keeps the multiplier basis ``W`` at the
 interface rows and the explicit inverse of the dense multiplier matrix
-``H``, whose leading columns ``Q = H^{-1} [I_m; 0]`` it writes into the
-coarse restriction below.  The problem keeps the largest basis solved so
-far beside each factor (``LocalOperator.solved``): each substructure's
-``ve`` rows are among its ``vef`` rows, so ``ve`` built after ``vef``
-takes its ``H`` as a principal submatrix of ``vef``'s and its ``W`` as a
-set of ``vef``'s columns, with no Neumann solve.
+``H``, whose leading columns are ``Q = H^{-1} [I_m; 0]``.  The problem
+keeps the largest basis solved so far beside each factor
+(``LocalOperator.solved``).  The classes come vertex, edge, face, so each
+substructure's ``ve`` rows are the leading rows of its ``vef`` rows.  When
+a substructure's constraint rows equal, CSR row for CSR row, the leading
+rows of the kept basis, its ``Ct``, ``H`` and ``W`` are read off that
+basis at those rows and the pin row, with no Neumann solve; otherwise
+they are solved.  So ``ve`` built after ``vef`` takes no Neumann solve.
 
 The coarse basis ``psi = W Q`` of a substructure minimizes local energy
 subject to unit value on one class and zero on the others, but it is never
@@ -36,25 +38,25 @@ local vector in turn) through operators stacked over all substructures at
 set-up: the scaled scatter of the assembled interface into its interface
 positions (the scaled assembly is its transpose), the block-diagonal
 ``Ct`` of every substructure's constraint rows, pin rows included, the
-block-diagonal ``H^{-1}``, the coarse restriction ``R`` holding each
-substructure's ``Q^T`` at its class ids, and the coarse spread ``E``, the
-0/1 matrix that maps each constraint row to its class id and a pin row
-to nothing.  The coarse operator is ``S_pp = (R E)^T``, symmetrized
-against the round-off of ``H^{-1}``; the coarse image of the constant
-vector is its kernel, so it is factored like a Neumann matrix, pinned at
-one entry.  With ``y`` the Neumann solves of the scattered residual,
+block-diagonal ``H^{-1}``, and the coarse spread ``E``, the 0/1 matrix
+that maps each constraint row to its class id and a pin row to nothing.
+``(H^{-1} E)^T`` holds each substructure's ``Q^T`` at its class ids, so
+the coarse operator is ``S_pp = (H^{-1} E)^T E``, symmetrized against the
+round-off of ``H^{-1}``; the coarse image of the constant vector is its
+kernel, so it is factored like a Neumann matrix, pinned at one entry.
+With ``y`` the Neumann solves of the scattered residual,
 
     c = Ct y,   g = H^{-1} c,   rho = E^T g - mean,
-    z = S_pp^{-1} rho - mean,   d = R^T z - g,   y_Gamma += W d;
+    z = S_pp^{-1} rho - mean,   d = H^{-1} (E z) - g,   y_Gamma += W d;
 
-``E^T g`` is ``R c`` and ``R^T z`` is ``H^{-1} E z``, as ``H`` is
-symmetric, so ``W d`` is the constrained correction
-``W H^{-1} (E z - c)``.  For a zero-mean ``rho`` the pinned solve returns
-a solution of ``S_pp z = rho``, and removing its mean makes ``z`` the
-pseudo-inverse's ``S_pp^+ rho``.  The scaled assembly of ``y`` is the
-result.  Every step is one call over all substructures but the Neumann
-solves and the ``W`` products, no step makes a LAPACK call, and the
-residual may be one vector or a block of columns.
+``E^T g`` is ``(H^{-1} E)^T c``, as ``H`` is symmetric, and ``W d`` is
+the constrained correction ``W H^{-1} (E z - c)``.  For a zero-mean
+``rho`` the pinned solve returns a solution of ``S_pp z = rho``, and
+removing its mean makes ``z`` the pseudo-inverse's ``S_pp^+ rho``.  The
+scaled assembly of ``y`` is the result.  Every step is one call over all
+substructures but the Neumann solves and the ``W`` products, no step
+makes a LAPACK call, and the residual may be one vector or a block of
+columns.
 
 The Neumann solves and the ``W`` products run substructure by substructure
 on the calling thread, each writing only its own slices of the stacked
@@ -123,6 +125,28 @@ def _constraint_matrix(rows, n_loc: int) -> sp.csr_matrix:
     return sp.csr_matrix((weights, dofs, ptr), shape=(len(rows), n_loc))
 
 
+def _basis(lo, c: sp.csr_matrix, iface: np.ndarray) -> tuple:
+    """``(ct, h, w)`` of :func:`multiplier_basis` for the constraint rows
+    ``c`` of ``lo``, at its interface rows.  When ``c`` holds the leading
+    CSR rows of the basis kept in ``lo.solved`` (``ve`` after ``vef``),
+    they are read off it at those rows and the pin row, with no solve;
+    otherwise they are solved, and kept if larger."""
+    kept = lo.solved[0] if lo.solved else None
+    m, nnz = c.shape[0], c.nnz
+    if (
+        kept is not None and m < kept[0].shape[0]
+        and np.array_equal(c.indptr, kept[0].indptr[: m + 1])
+        and np.array_equal(c.indices, kept[0].indices[:nnz])
+        and np.array_equal(c.data, kept[0].data[:nnz])
+    ):
+        at = np.r_[:m, kept[0].shape[0] - 1]
+        return kept[0][at], kept[1][np.ix_(at, at)], np.ascontiguousarray(kept[2][:, at])
+    basis = multiplier_basis(lo.neumann, c, iface)
+    if kept is None or len(basis[1]) > len(kept[1]):
+        lo.solved[:] = [basis]
+    return basis
+
+
 class BddcPreconditioner:
     """Two-level preconditioner for the assembled interface operator.
 
@@ -149,7 +173,7 @@ class BddcPreconditioner:
         self._factors, self._w, cts, h_invs = [], [], [], []
         pos = np.empty(dofmap.n_broken, dtype=np.int64)
         local_ptr, row_ptr = [0], [0]
-        r_rows, r_cols, r_vals, e_rows, e_cols = [], [], [], [], []
+        e_rows, e_cols = [], []
         for lo in local_ops:
             rows = constraints.rows_of(lo.sub)
             if not rows:
@@ -160,28 +184,18 @@ class BddcPreconditioner:
                 )
             n_loc = lo.matrix.shape[0]
             iface = np.arange(lo.n_interior, n_loc)
-            # applies only ever need interface rows of the solution; the
-            # largest basis solved on this problem serves any later rows it holds
-            solved = lo.solved[0] if lo.solved else None
-            c = _constraint_matrix(rows, n_loc)
-            ct, h, w = basis = multiplier_basis(lo.neumann, c, iface, solved)
-            if solved is None or len(h) > len(solved[1]):
-                lo.solved[:] = [basis]
+            ct, h, w = _basis(lo, _constraint_matrix(rows, n_loc), iface)
             h_inv = multiplier_inverse(h, lo.neumann.label)
             self._factors.append(lo.neumann)
             self._w.append(w)
             cts.append(ct)
             h_invs.append(h_inv)
             ids = np.array([cid for cid, _ in rows], dtype=np.int64)
-            m, mt = len(ids), ct.shape[0]
-            r_rows.append(np.repeat(ids, mt))
-            r_cols.append(row_ptr[-1] + np.tile(np.arange(mt), m))
-            r_vals.append(h_inv[:, :m].T.ravel())  # Q^T
-            e_rows.append(row_ptr[-1] + np.arange(m))
+            e_rows.append(row_ptr[-1] + np.arange(len(ids)))
             e_cols.append(ids)
             pos[dofmap.gamma_slice(lo.sub)] = local_ptr[-1] + iface
             local_ptr.append(local_ptr[-1] + n_loc)
-            row_ptr.append(row_ptr[-1] + mt)
+            row_ptr.append(row_ptr[-1] + ct.shape[0])
 
         self._local = [slice(a, b) for a, b in zip(local_ptr, local_ptr[1:])]
         self._iface = [slice(b - len(w), b) for w, b in zip(self._w, local_ptr[1:])]
@@ -192,16 +206,11 @@ class BddcPreconditioner:
         self._assemble = self._scatter.T.tocsr()
         self._ct = sp.block_diag(cts, format="csr")
         self._h_inv = sp.block_diag(h_invs, format="csr")
-        self._restrict = sp.csr_matrix(
-            (np.concatenate(r_vals), (np.concatenate(r_rows), np.concatenate(r_cols))),
-            shape=(n, row_ptr[-1]),
-        )
         e_rows = np.concatenate(e_rows)
         self._spread = sp.csr_matrix(
             (np.ones(len(e_rows)), (e_rows, np.concatenate(e_cols))), shape=(row_ptr[-1], n)
         )
         self._gather = self._spread.T.tocsr()
-        self._extend = self._restrict.T.tocsr()
         self._coarse = SPDSolver(self._coarse_matrix(), label="coarse operator", pin=True)
         nnz = [f.nnz for f in self._factors]
         big = int(np.argmax(nnz))
@@ -210,8 +219,8 @@ class BddcPreconditioner:
     def _coarse_matrix(self) -> sp.csr_matrix:
         """``S_pp``: the substructures' blocks ``Q[:m] = psi^T K psi`` of the
         energy-minimal coarse basis ``psi = W Q`` summed at their class ids,
-        symmetrized: ``R E`` is its transpose."""
-        s_pp = self._restrict @ self._spread
+        symmetrized: ``(H^{-1} E)^T E``."""
+        s_pp = (self._h_inv @ self._spread).T.tocsr() @ self._spread
         return ((s_pp + s_pp.T) * 0.5).tocsr()
 
     def _solve_each(self, ks, y: np.ndarray) -> None:
@@ -246,7 +255,7 @@ class BddcPreconditioner:
         rho -= rho.mean(axis=0)
         z = self._coarse.solve(rho)
         z -= z.mean(axis=0)
-        d = self._extend @ z
+        d = self._h_inv @ (self._spread @ z)
         d -= g
         for w, sl, rows in zip(self._w, self._iface, self._rows):
             y[sl] += w @ d[rows]

@@ -102,7 +102,7 @@ def pcg(
     if project is not None:
         z = project(z)
     rz = float(r @ z)
-    if rz <= 0:
+    if not rz > 0:  # NaN included
         raise SolverError(f"preconditioner is not positive definite (r'z = {rz:.3e})")
     p = z.copy()
 
@@ -113,7 +113,7 @@ def pcg(
         if project is not None:
             ap = project(ap)
         pap = float(p @ ap)
-        if pap <= 0:
+        if not pap > 0:
             raise SolverError(
                 f"operator is not positive definite on the Krylov space "
                 f"(p'Ap = {pap:.3e} at iteration {it})"
@@ -131,7 +131,7 @@ def pcg(
         if project is not None:
             z = project(z)
         rz_new = float(r @ z)
-        if rz_new <= 0:
+        if not rz_new > 0:
             raise SolverError(
                 f"preconditioner lost positive definiteness (r'z = {rz_new:.3e})"
             )

@@ -44,9 +44,10 @@ Two building blocks:
   ``H^{-1}`` from the LU that refuses dependent rows.  A solve (the BDDC
   M-apply stacks them) is then one sparse solve, one sparse product with
   ``Ct``, one with ``H^{-1}`` and one dense product with ``W``, and the
-  targets need no sparse solve.  Constraint rows that are all among an
-  earlier call's rows need no sparse solve either: their ``H`` is a
-  principal submatrix of its ``H`` and their ``W`` a set of its columns.
+  targets need no sparse solve.  Leading constraint rows of an earlier
+  call's, with the pin row, need no sparse solve either: their ``H`` is a
+  principal submatrix of its ``H`` and their ``W`` a set of its columns
+  (:mod:`~emibddc.bddc` reads ``ve``'s basis off ``vef``'s so).
   ``Q = H^{-1} [I_m; 0]``, the leading columns of ``H^{-1}``, is the
   energy of the extensions:
   ``psi = W Q`` minimizes ``psi^T A psi`` subject to ``C psi = I_m``, and
@@ -130,26 +131,13 @@ class SPDSolver:
             ) from exc
 
     @property
-    def fill(self) -> int:
-        """Entries of the factor, ``L.nnz + U.nnz``.
-
-        SuperLU builds ``L`` and ``U`` as new CSC copies of its supernodal
-        storage on every call, so this costs time and memory in proportion
-        to the fill: a diagnostic, never to be read in set-up or in an
-        apply.  (Reading ``fill`` instead of :attr:`nnz` to rank the
-        substructures for a threaded M-apply raised the peak RSS of the
-        ``convex-h12`` benchmark workload from 277 to 457 MiB.)
-        :attr:`nnz` is the O(1) count to use there.
-        """
-        return self._lu.L.nnz + self._lu.U.nnz
-
-    @property
     def nnz(self) -> int:
         """SuperLU's own count of stored factor entries, read in O(1).
 
         It counts supernodal storage, padding included, so it reads above
-        :attr:`fill`: by 0.4-2.4% on the bath Neumann factors of the
-        benchmark workloads (1,071,698 against 1,046,104 on ``rhs-stream``,
+        ``L.nnz + U.nnz`` (which SuperLU counts on new CSC copies of its
+        factor): by 0.4-2.4% on the bath Neumann factors of the benchmark
+        workloads (1,071,698 against 1,046,104 on ``rhs-stream``,
         5,398,362 against 5,376,289 on ``convex-h12``) and by 7-33% on the
         smallest cell factors.  It still ranks factors by solve cost, which
         is what the M-apply reads it for.
@@ -173,7 +161,7 @@ class SPDSolver:
         return out[:, 0] if rhs.ndim == 1 else out
 
 
-def multiplier_basis(factor: SPDSolver, constraints, rows, solved=None) -> tuple:
+def multiplier_basis(factor: SPDSolver, constraints, rows) -> tuple:
     """The pieces ``(ct, h, w)`` of the constrained solves against ``factor``.
 
     ``factor`` is the :class:`SPDSolver` of the matrix, built with
@@ -185,12 +173,6 @@ def multiplier_basis(factor: SPDSolver, constraints, rows, solved=None) -> tuple
     basis ``W`` at ``rows`` alone, C-contiguous.  ``W`` is solved
     ``SOLVE_COLS`` columns at a time, and only ``H`` and ``W[rows]`` are
     kept of each block.
-
-    ``solved`` is the ``(ct, h, w)`` of an earlier call with the same
-    factor and ``rows``.  When each of the constraint rows is one of its
-    rows, with the same dofs and weights, the pieces are read off it with
-    no solve: ``h`` is a principal submatrix of its ``h`` and ``w`` a set
-    of its columns.
     """
     label = factor.label or "?"
     constraints = constraints.tocsr()
@@ -203,12 +185,6 @@ def multiplier_basis(factor: SPDSolver, constraints, rows, solved=None) -> tuple
         ct = constraints
     mt = ct.shape[0]
 
-    if solved is not None:
-        known = {key: k for k, key in enumerate(_row_keys(solved[0]))}
-        cols = [known.get(key) for key in _row_keys(ct)]
-        if None not in cols:
-            return ct, solved[1][np.ix_(cols, cols)], np.ascontiguousarray(solved[2][:, cols])
-
     rows = np.asarray(rows)
     h = np.empty((mt, mt))
     w = np.empty((len(rows), mt))
@@ -220,14 +196,6 @@ def multiplier_basis(factor: SPDSolver, constraints, rows, solved=None) -> tuple
     if factor.rho:
         h[-1, -1] -= 1.0 / factor.rho
     return ct, h, w
-
-
-def _row_keys(matrix: sp.csr_matrix):
-    """Each CSR row's dofs and weights, as one hashable key per row."""
-    return [
-        (matrix.indices[a:b].astype(np.int64).tobytes(), matrix.data[a:b].tobytes())
-        for a, b in zip(matrix.indptr, matrix.indptr[1:])
-    ]
 
 
 def multiplier_inverse(h: np.ndarray, label: str = "") -> np.ndarray:

@@ -368,15 +368,74 @@ def test_ve_after_vef_takes_no_neumann_solve(which, patch_mesh, monkeypatch):
     npt.assert_allclose(reused.apply(block), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
+def _neumann_solvers(monkeypatch, build):
+    """``build()`` and the substructures whose Neumann factor it solved with."""
+    subs = set()
+    original = SPDSolver.solve
+
+    def counting(self, rhs):
+        if "dual block" in self.label:
+            subs.add(int(self.label.split()[1]))
+        return original(self, rhs)
+
+    monkeypatch.setattr(SPDSolver, "solve", counting)
+    try:
+        return build(), subs
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
+def test_vef_after_ve_takes_its_own_solves(which, patch_mesh, monkeypatch):
+    """vef's rows are not ve's leading rows, so vef built after ve on one
+    problem solves every substructure's basis and applies bit for bit as
+    vef on a fresh problem does; the larger basis is the one kept."""
+    problem = _problem_on(which, patch_mesh)
+    make_preconditioner(problem, "ve")
+    reused, subs = _neumann_solvers(monkeypatch, lambda: make_preconditioner(problem, "vef"))
+    assert subs == set(range(problem.dofmap.n_substructures))
+    kept = [len(lo.solved[0][1]) for lo in problem.operators.local_ops]
+    assert kept == [rows.stop - rows.start for rows in reused._rows]
+
+    fresh = make_preconditioner(_problem_on(which, patch_mesh), "vef")
+    block = np.random.default_rng(34).standard_normal((problem.dofmap.n_gamma, 3))
+    assert np.array_equal(reused.apply(block), fresh.apply(block))
+
+
+@pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
+def test_rows_that_do_not_lead_take_a_solve(which, patch_mesh, monkeypatch):
+    """ve without its first class, built after vef: a substructure that held
+    the dropped class keeps rows of vef's basis that are not its leading
+    rows, so it solves, while the others read vef's basis; the result
+    applies as on a fresh problem, to round-off."""
+    problem = _problem_on(which, patch_mesh)
+    make_preconditioner(problem, "vef")
+    ve = build_primal_constraints(problem.dofmap, problem.topo, "ve")
+    cs = dataclasses.replace(ve, classes=ve.classes[1:])
+    ops = problem.operators
+
+    def build():
+        return BddcPreconditioner(problem.dofmap, cs, ops.local_ops, ops.sigma)
+
+    reused, subs = _neumann_solvers(monkeypatch, build)
+    assert subs == {row.sub for row in ve.classes[0].rows}
+
+    fresh_ops = _problem_on(which, patch_mesh).operators
+    fresh = BddcPreconditioner(problem.dofmap, cs, fresh_ops.local_ops, fresh_ops.sigma)
+    block = np.random.default_rng(35).standard_normal((problem.dofmap.n_gamma, 3))
+    expected = fresh.apply(block)
+    npt.assert_allclose(reused.apply(block), expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
 @pytest.mark.parametrize("which", ["cells_2x2x1", "patch"])
 def test_coarse_operator_and_residual_from_multipliers(which, patch_mesh):
-    """The coarse block each substructure writes into the coarse
-    restriction R, Q[:m], is psi^T K psi of its coarse basis with the pin
-    taken out again, and the stacked coarse restriction of the constraint
-    values of a load response, rho = R (Ct y), is the coarse residual
-    psi_Gamma^T r at the substructure's classes and zero elsewhere.
-    Entries that vanish in exact arithmetic carry only round-off, so both
-    compare relative to their largest entry."""
+    """The coarse block of each substructure in the coarse restriction
+    R = (H^{-1} E)^T, Q[:m], is psi^T K psi of its coarse basis with the
+    pin taken out again, and the stacked coarse restriction of the
+    constraint values of a load response, rho = R (Ct y), is the coarse
+    residual psi_Gamma^T r at the substructure's classes and zero
+    elsewhere.  Entries that vanish in exact arithmetic carry only
+    round-off, so both compare relative to their largest entry."""
 
     def assert_close(actual, desired):
         npt.assert_allclose(actual, desired, rtol=0, atol=1e-10 * np.abs(desired).max())
@@ -388,14 +447,15 @@ def test_coarse_operator_and_residual_from_multipliers(which, patch_mesh):
         n_i = lo.n_interior
         ids = [cid for cid, _ in pc.constraints.rows_of(lo.sub)]
         psi = _coarse_basis(pc, lo)
-        q = pc._restrict[ids][:, rows].toarray().T  # R holds Q^T at the class ids
+        restrict = (pc._h_inv @ pc._spread).T.tocsr()  # R = (H^{-1} E)^T
+        q = restrict[ids][:, rows].toarray().T  # R holds Q^T at the class ids
         assert_close(q[: len(ids)], psi.T @ (lo.matrix @ psi))
         r = rng.standard_normal(psi.shape[0] - n_i)
         y = np.zeros(pc._ct.shape[1])
         y[local] = lo.neumann.solve(np.concatenate([np.zeros(n_i), r]))
         expected = np.zeros(pc.coarse_dim)
         expected[ids] = psi[n_i:].T @ r
-        assert_close(pc._restrict @ (pc._ct @ y), expected)
+        assert_close(restrict @ (pc._ct @ y), expected)
 
 
 def test_repeated_vertex_row_rejected(patch_mesh):

@@ -89,6 +89,36 @@ def test_indefinite_preconditioner_rejected():
         pcg(lambda v: v, np.ones(4), apply_m=lambda v: -v)
 
 
+def test_nan_operator_raises_at_once():
+    """A NaN from the operator stops the iteration with a typed error, not
+    after maxiter steps in the spectrum estimate."""
+    calls = []
+
+    def nan_operator(v):
+        calls.append(1)
+        return v * np.nan
+
+    with pytest.raises(SolverError, match="operator"):
+        pcg(nan_operator, np.ones(4), maxiter=5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad_call", [1, 3])
+def test_nan_preconditioner_raises_at_once(bad_call):
+    """A NaN from the preconditioner, on its first application (r'z) or a
+    later one (the new r'z), stops the iteration with a typed error."""
+    d = np.arange(1.0, 9.0)
+    calls = []
+
+    def apply_m(v):
+        calls.append(1)
+        return v * np.nan if len(calls) == bad_call else v.copy()
+
+    with pytest.raises(SolverError, match="preconditioner"):
+        pcg(lambda v: d * v, np.ones(8), apply_m=apply_m, tol=1e-14, maxiter=6)
+    assert len(calls) == bad_call
+
+
 def test_true_residual_meets_tolerance():
     rng = np.random.default_rng(33)
     a = _spd(30, rng, cond=100.0)

@@ -89,7 +89,8 @@ def test_symmetric_mode_cuts_fill_of_bath_neumann_factor():
     pinned = bath.matrix.toarray()
     pinned[0, 0] += factor.rho
     default = sp.linalg.splu(sp.csc_matrix(pinned))
-    assert factor.fill <= 0.75 * (default.L.nnz + default.U.nnz)
+    fill = factor._lu.L.nnz + factor._lu.U.nnz
+    assert fill <= 0.75 * (default.L.nnz + default.U.nnz)
     b = np.random.default_rng(9).standard_normal(factor.n)
     npt.assert_allclose(factor.solve(b), np.linalg.solve(pinned, b), rtol=1e-9)
 
@@ -267,32 +268,6 @@ def test_non_finite_block_names_factor():
     with pytest.raises(FactorizationError, match="bath"):
         multiplier_basis(factor, c, np.arange(n))
     assert blocks == [sparsela.SOLVE_COLS, 4]
-
-
-def test_rows_of_an_earlier_basis_take_no_solve(monkeypatch):
-    """Constraint rows that are all among an earlier call's rows, in any
-    order, are read off its pieces with no solve: ``H`` as a principal
-    submatrix and ``W`` as a set of columns, the pin row's included."""
-    rng = np.random.default_rng(12)
-    n = 30
-    a = _random_psd_with_constant_kernel(n, rng)
-    c_rows = rng.standard_normal((5, n))
-    c_rows[0] += 1.0
-    factor = SPDSolver(a, pin=True)
-    rows = np.arange(10, n)
-    solved = multiplier_basis(factor, sp.csr_matrix(c_rows), rows)
-    monkeypatch.setattr(SPDSolver, "solve", None)  # any solve would raise
-    ct, h, w = multiplier_basis(factor, sp.csr_matrix(c_rows[[3, 0]]), rows, solved)
-    monkeypatch.undo()
-    cols = [3, 0, 5]
-    npt.assert_array_equal(ct.toarray(), solved[0][cols].toarray())
-    npt.assert_array_equal(h, solved[1][np.ix_(cols, cols)])
-    npt.assert_array_equal(w, solved[2][:, cols])
-    assert w.flags.c_contiguous
-    # a row that is not among them takes a solve of its own
-    other = sp.csr_matrix(np.vstack([c_rows[1], rng.standard_normal(n)]))
-    _, h_new, _ = multiplier_basis(factor, other, rows, solved)
-    npt.assert_array_equal(h_new, multiplier_basis(factor, other, rows)[1])
 
 
 def test_constraint_width_checked():

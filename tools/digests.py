@@ -14,10 +14,10 @@ commit after it appends ``max_rel_diff X`` to each hashed line.  ``X`` is
 the largest over the label's arrays of ``max|new - old| / max|old|``; an
 integer array, or one whose shape changed, counts as 0 when equal and
 ``inf`` otherwise, and a label with nothing saved shows ``missing``.  A
-sparse matrix (K, the local operators, ``R``, ``H^{-1}`` and ``S_pp``) is rebuilt from its saved
-``(indptr, indices, data)`` and ``X`` is ``max|A_new - A_old| / max|A_old|``
-over its entries, so a change of which entries are stored does not hide
-how far the values moved.  Compared with a directory saved before the
+sparse matrix (K, the local operators, ``R``, ``H^{-1}`` and ``S_pp``)
+is rebuilt from its saved ``(indptr, indices, data)`` and ``X`` is
+``max|A_new - A_old| / max|A_old|`` over its entries, so a change of
+which entries are stored does not hide how far the values moved.  Compared with a directory saved before the
 global stiffness A and coupling M were dropped (K has been the sum of the
 local operators since), the saved A and M files are simply not read; nor
 is the dense ``coarse_matrix`` saved before the coarse operator was
@@ -35,9 +35,12 @@ meshes of the benchmark workloads in ``perfbench/bench.py``, each with the
 the reduced load and the recovered solution for a seeded compatible
 load; per primal space the preconditioner applied to the same vector
 and to a seeded block of three columns (the block path), the coarse
-restriction ``R`` (every substructure's ``Q^T``, ``Q = H^{-1} [I_m; 0]``
-its multiplier system solved for unit targets, at its class ids; the
-leading rows of ``Q`` are its block of the coarse matrix), the stacked
+restriction ``R``, rebuilt as ``(H^{-1} E)^T`` from the stacked
+``H^{-1}`` and the coarse spread ``E`` (every substructure's ``Q^T``,
+``Q = H^{-1} [I_m; 0]`` its multiplier system solved for unit targets, at
+its class ids; the leading rows of ``Q`` are its block of the coarse
+matrix; it stores no zero entries, so its hash differs from that of a
+saved ``R`` that did, while its values compare equal), the stacked
 block-diagonal ``H^{-1}`` of every substructure's multiplier matrix (the
 explicit inverse the apply multiplies by; ``Q`` is its leading columns),
 the sparse coarse operator ``S_pp`` as factored, and one
@@ -210,7 +213,7 @@ def main(argv=None) -> int:
                 continue
             out.hashed(f"{tag} bddc_apply", lambda: (pc.apply(v),))
             out.hashed(f"{tag} bddc_apply_block", lambda: (pc.apply(block),))
-            out.matrix(f"{tag} restrict", pc._restrict)
+            out.matrix(f"{tag} restrict", (pc._h_inv @ pc._spread).T.tocsr())
             out.matrix(f"{tag} multiplier_inverse", pc._h_inv)
             out.matrix(f"{tag} coarse_operator", pc._coarse_matrix())
             result = stage(f"{tag} solve", lambda: solve_interface(
