@@ -58,25 +58,26 @@ substructures but the Neumann solves and the ``W`` products, no step
 makes a LAPACK call, and the residual may be one vector or a block of
 columns.
 
-The Neumann solves and the ``W`` products run substructure by substructure
-on the calling thread, each writing only its own slices of the stacked
-vector, but for one overlap: on a host with more than one core, when the
-largest Neumann factor holds at least ``OVERLAP_NNZ`` entries, the
-calling thread solves with it while one extra thread runs the other
-solves.  SuperLU releases the GIL inside a solve, so the long solve
-overlaps the short ones.  On a shared 2-core host (scipy 1.17), two
-threads looping solves reached 1.74-1.84x one thread's throughput on a
-3.0M-entry bath factor (``cellgrid-h12``) but 0.99-1.46x on a
-1.07M-entry one (``rhs-stream``), and without the overlap the
-``cellgrid-h12`` solves were 24% and 43% slower in two of three
-benchmark batches.  The long solve stays on the calling thread, which
-starts it at once: on the extra thread it made ``convex-h12`` 11% slower
-per load.  The thread calls only private kernels (``_solve_each``,
+The Neumann solves and the ``W`` products run substructure by substructure,
+each writing only its own slices of the stacked vector.  The calling
+thread solves with the largest Neumann factor (by order, ``SPDSolver.n``:
+the bath on every benchmark workload) while one extra thread runs the
+other solves.  SuperLU releases the GIL inside a solve, so the long solve
+overlaps the short ones.  On a shared 2-core host (scipy 1.17, one BLAS
+thread), ``cellgrid-h12`` solves took 144 ms with the overlap and 169 ms
+without, and ``rhs-stream``'s per-load solves 104-117 ms against
+125-139 ms.  Pinned to one CPU, the overlap costs ~3% per solve
+(``rhs-stream`` 106.8 against 103.3 ms, ``cellgrid-h12`` 166.7 against
+161.3 ms), but no workload runs on one core.
+The long solve stays on the calling thread, which starts it at once: on
+the extra thread it made ``convex-h12`` 11% slower per load.  A forked
+child inherits the executor but not its thread, so it gets a new one.
+The thread calls only private kernels (``_solve_each``,
 ``SPDSolver._substitute``), so a tracer that wraps the public API sees
-every span on the calling thread, and the result is bit-identical either
-way.  The Neumann solves are checked for non-finite values once, after
-all of them, naming the first substructure at fault; the coarse solve
-follows on the calling thread.
+every span on the calling thread, and the result is bit-identical
+whichever substructure the calling thread solves.  The Neumann solves are
+checked for non-finite values once, after all of them, naming the first
+substructure at fault; the coarse solve follows on the calling thread.
 """
 
 from __future__ import annotations
@@ -93,13 +94,18 @@ from .sparsela import SPDSolver, multiplier_basis, multiplier_inverse
 
 __all__ = ["build_scaling", "BddcPreconditioner"]
 
-CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# stored entries (SPDSolver.nnz) of the largest factor from which the other solves overlap it
-OVERLAP_NNZ = 2_000_000
+def _new_pool() -> None:
+    """``_POOL``, the one extra thread of every M-apply, started on the first
+    submit.  A forked child's copy counts an idle thread the child does not
+    have, so a submit there would wait forever: the child gets a new one."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="emibddc")
 
-# its thread starts on the first submit, so a host that never overlaps starts none
-_POOL = ThreadPoolExecutor(max_workers=1, thread_name_prefix="emibddc")
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def build_scaling(dofmap: DofMap, sigma: np.ndarray) -> np.ndarray:
@@ -212,9 +218,8 @@ class BddcPreconditioner:
         )
         self._gather = self._spread.T.tocsr()
         self._coarse = SPDSolver(self._coarse_matrix(), label="coarse operator", pin=True)
-        nnz = [f.nnz for f in self._factors]
-        big = int(np.argmax(nnz))
-        self._big = big if CORES > 1 and nnz[big] >= OVERLAP_NNZ else None
+        # solved on the calling thread, the others on the extra one
+        self._big = int(np.argmax([f.n for f in self._factors]))
 
     def _coarse_matrix(self) -> sp.csr_matrix:
         """``S_pp``: the substructures' blocks ``Q[:m] = psi^T K psi`` of the
@@ -233,18 +238,14 @@ class BddcPreconditioner:
         """Preconditioned residual z = M^{-1} r on the assembled interface,
         for one residual (n_gamma,) or a block of them (n_gamma, k)."""
         y = self._scatter @ r_gamma
-        big = self._big
-        if big is None:
-            self._solve_each(range(len(self._factors)), y)
-        else:
-            rest = [k for k in range(len(self._factors)) if k != big]
-            pending = _POOL.submit(self._solve_each, rest, y)
-            try:
-                self._solve_each((big,), y)
-            finally:
-                # the thread writes into y: never go on before it
-                wait((pending,))
-            pending.result()
+        rest = [k for k in range(len(self._factors)) if k != self._big]
+        pending = _POOL.submit(self._solve_each, rest, y)
+        try:
+            self._solve_each((self._big,), y)
+        finally:
+            # the thread writes into y: never go on before it
+            wait((pending,))
+        pending.result()
         if not np.isfinite(y).all():
             bad = next(k for k, sl in enumerate(self._local) if not np.isfinite(y[sl]).all())
             raise FactorizationError(

@@ -128,6 +128,13 @@ class ExperimentConfig:
             meshes = self.study_meshes()
         except (MeshError, TypeError, ValueError) as exc:
             raise ConfigError(f"{self.experiment} study: {exc}") from None
+        axis = {"weak_scaling": "grids", "refinement": "levels"}.get(self.experiment)
+        if axis and not meshes:
+            raise ConfigError(f"{self.experiment} study: {axis} must not be empty")
+        # the model curve is pinned at the first level, which must be the coarsest
+        lev = self.levels
+        if axis == "levels" and any(a >= b for a, b in zip(lev, lev[1:])):
+            raise ConfigError(f"levels must be strictly increasing, got {list(self.levels)!r}")
         # random_sigma draws the cell conductivities itself, so an override
         # would be ignored; elsewhere it must give one value per region of
         # every mesh of the study

@@ -130,20 +130,6 @@ class SPDSolver:
                 f"matrix {label or '?'} could not be factorized"
             ) from exc
 
-    @property
-    def nnz(self) -> int:
-        """SuperLU's own count of stored factor entries, read in O(1).
-
-        It counts supernodal storage, padding included, so it reads above
-        ``L.nnz + U.nnz`` (which SuperLU counts on new CSC copies of its
-        factor): by 0.4-2.4% on the bath Neumann factors of the benchmark
-        workloads (1,071,698 against 1,046,104 on ``rhs-stream``,
-        5,398,362 against 5,376,289 on ``convex-h12``) and by 7-33% on the
-        smallest cell factors.  It still ranks factors by solve cost, which
-        is what the M-apply reads it for.
-        """
-        return self._lu.nnz
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one vector (n,) or a block of right-hand sides (n, k)."""
         out = self._substitute(rhs)

@@ -365,13 +365,17 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
             ["experiment", "verify", "--set", "mesh.cells_x=2", "--out", "v.csv"],
             "verify writes no CSV",
         ),
+        (["experiment", "refinement", "--set", "levels=[1,0]"], "strictly increasing"),
+        (["experiment", "refinement", "--set", "levels=[0,0]"], "strictly increasing"),
+        (["experiment", "refinement", "--set", "levels=[]"], "levels must not be empty"),
+        (["experiment", "weak-scaling", "--set", "grids=[]"], "grids must not be empty"),
     ],
 )
 def test_cli_bad_config_exits_two(argv, message, capsys, tmp_path, monkeypatch):
     """Unknown keys, bad seeds, meshes, model parameters, mistyped values,
-    settings a study ignores, unreadable config files and unwritable or
-    unused output paths are configuration errors, caught before any mesh
-    is built."""
+    settings a study ignores, empty or unordered study axes, unreadable
+    config files and unwritable or unused output paths are configuration
+    errors, caught before any mesh is built."""
     monkeypatch.chdir(tmp_path)
 
     def no_mesh(*args, **kwargs):

@@ -1,14 +1,15 @@
-"""The M-apply may overlap its largest Neumann solve with the others, run
-on one extra thread; its results must not depend on that, and the thread
-must call only private kernels."""
+"""The M-apply overlaps its largest Neumann solve with the others, run on
+one extra thread; its results must not depend on which solve stays on the
+calling thread, and the thread must call only private kernels."""
 
+import os
+import signal
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from emibddc import bddc
 from emibddc.assembly import ModelParams
 from emibddc.errors import FactorizationError
 from emibddc.femspace import DofMap
@@ -30,24 +31,18 @@ def _solve(problem, precond, f):
     return solve_interface(problem, precond, f, tol=1e-8, maxiter=200)
 
 
-def test_overlap_only_for_a_large_factor_on_several_cores(problem_2cell, monkeypatch):
-    """The other solves go to the thread only with a second core and a
-    largest factor of at least OVERLAP_NNZ stored entries."""
-    nnz = [f.nnz for f in make_preconditioner(problem_2cell, "vef")._factors]
-    big = nnz.index(max(nnz))
-    for cores, limit, expected in (
-        (2, max(nnz), big), (2, max(nnz) + 1, None), (1, max(nnz), None),
-    ):
-        monkeypatch.setattr(bddc, "CORES", cores)
-        monkeypatch.setattr(bddc, "OVERLAP_NNZ", limit)
-        assert make_preconditioner(problem_2cell, "vef")._big == expected
+def test_calling_thread_solves_the_largest_factor(problem_2cell, grid_problem):
+    """The calling thread keeps the factor of the largest order."""
+    for problem in (problem_2cell, grid_problem):
+        precond = make_preconditioner(problem, "vef")
+        n = [f.n for f in precond._factors]
+        assert precond._big == n.index(max(n))
 
 
 @pytest.mark.parametrize("variant", ["vef", "ve"])
 def test_threaded_applies_match_one_group(grid_problem, variant):
     """The M-apply of a vector and of a block and a whole solve give the
-    same bits with any substructure's solve overlapping the others and
-    with no overlap."""
+    same bits whichever substructure's solve the calling thread runs."""
     problem = grid_problem
     precond = make_preconditioner(problem, variant)
     rng = np.random.default_rng(5)
@@ -62,12 +57,12 @@ def test_threaded_applies_match_one_group(grid_problem, variant):
     default = precond._big
     got = {}
     try:
-        for big in [None, *range(len(precond._factors))]:
+        for big in range(len(precond._factors)):
             precond._big = big
             got[big] = results()
     finally:
         precond._big = default
-    m1, u1, its1, kappa1 = got[None]
+    m1, u1, its1, kappa1 = got[0]
     for big, (m, u, its, kappa) in got.items():
         assert all(np.array_equal(a, b) for a, b in zip(m, m1)), big
         assert np.array_equal(u, u1) and its == its1 and kappa == kappa1, big
@@ -96,7 +91,6 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
     """While the thread runs a solve, every call of a public solver method
     (the ones a tracer may wrap) stays on the calling thread."""
     precond = make_preconditioner(problem_2cell, "vef")
-    monkeypatch.setattr(precond, "_big", 0)
 
     public, solves = [], []
     for cls, name, log in (
@@ -121,13 +115,12 @@ def test_public_kernels_run_on_the_main_thread(problem_2cell, monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["bddc", "bddc-coarse"])
-def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
+def test_worker_error_reaches_caller(problem_2cell, which):
     """A FactorizationError raised in substructure 1's Neumann solve on the
     thread, or in its W product on the calling thread, comes out of the
     apply as itself, and the next apply gives the same bits as the one
     before."""
     precond = make_preconditioner(problem_2cell, "vef")
-    monkeypatch.setattr(precond, "_big", 0)
     v = np.random.default_rng(3).standard_normal(problem_2cell.schur.n)
     expected = precond.apply(v)
 
@@ -154,3 +147,24 @@ def test_worker_error_reaches_caller(problem_2cell, which, monkeypatch):
         precond._w[1] = saved_w
     assert threads == [which == "bddc-coarse"]
     assert np.array_equal(precond.apply(v), expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+def test_forked_child_applies(problem_2cell):
+    """A child forked after an apply has started the thread applies too,
+    and gets the parent's bits."""
+    precond = make_preconditioner(problem_2cell, "vef")
+    precond._big = 0
+    v = np.random.default_rng(4).standard_normal(problem_2cell.schur.n)
+    expected = precond.apply(v)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            signal.alarm(30)
+            status = 0 if np.array_equal(precond.apply(v), expected) else 1
+        finally:
+            os._exit(status)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status
