@@ -171,10 +171,8 @@ def _cmd_experiment(config) -> int:
             harness.write_model_csv(extra, model_out)
             print(f"wrote {model_out}")
     elif extra is not None:
-        print(
-            "summary: "
-            + " ".join(f"{k}={v:.6g}" for k, v in extra.items())
-        )
+        for space, summary in extra.items():
+            print(f"summary [{space}]: " + " ".join(f"{k}={v:.6g}" for k, v in summary.items()))
     return 0
 
 

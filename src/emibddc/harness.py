@@ -119,11 +119,11 @@ class ExperimentConfig:
                 raise ConfigError(f"the directory of out '{self.out}' does not exist")
         if not self.variants:
             raise ConfigError("at least one primal variant is required")
-        for v in self.variants:
-            try:
-                PrimalVariant.parse(v)
-            except ConstraintError as exc:
-                raise ConfigError(str(exc)) from None
+        try:
+            variants = tuple(PrimalVariant.parse(v).value for v in self.variants)
+        except ConstraintError as exc:
+            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "variants", variants)  # strings, for rows and messages
         try:
             meshes = self.study_meshes()
         except (MeshError, TypeError, ValueError) as exc:
@@ -176,8 +176,6 @@ class ExperimentConfig:
             raise ConfigError("'mesh' and 'params' must be mappings")
         try:
             mesh_cfg = MeshConfig(**_strict_kwargs(MeshConfig, mesh, "mesh"))
-            if "sigma" in params and params["sigma"] is not None:
-                params = {**params, "sigma": tuple(params["sigma"])}  # the caller's dict stays
             params_cfg = ModelParams(**_strict_kwargs(ModelParams, params, "params"))
         except (MeshError, AssemblyError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
@@ -325,7 +323,7 @@ def _solve_row(problem, precond, f, config, variant) -> ResultRow:
         cells=problem.cells_label,
         subdomains=problem.dofmap.n_substructures,
         global_dofs=problem.dofmap.n_global,
-        primal_space=str(PrimalVariant.parse(variant).value),
+        primal_space=variant,
         iterations=report.iterations,
         kappa_est=report.kappa_est,
         coarse_dim=precond.coarse_dim,
@@ -336,27 +334,35 @@ def _solve_row(problem, precond, f, config, variant) -> ResultRow:
 
 
 def _operators(config: ExperimentConfig):
-    """Yield ``(problem, loads)`` for each operator of the study, in row order.
-
-    ``random_sigma`` draws every cell region's conductivity from (1, 20)
-    mS/cm (the bath region keeps the configured value) and one load per
-    operator from a single random stream.  The other studies reseed per
-    operator; ``random_rhs`` draws ``sample_count`` loads, the rest draw one.
-    """
+    """Yield the inputs ``(mesh, params, rng, n_loads)`` of each operator of
+    the study, in row order.  ``random_sigma`` draws every cell region's
+    conductivity from (1, 20) mS/cm (the bath keeps the configured value),
+    then the operator's one load, from a single random stream; the other
+    studies reseed per operator, and ``random_rhs`` draws ``sample_count``
+    loads, the rest one."""
     if config.experiment == "random_sigma":
         rng = np.random.default_rng(config.seed)
         n_cells = config.mesh.n_regions - 1
         for _ in range(config.sample_count):
             draw = np.insert(rng.uniform(1.0, 20.0, n_cells), BATH, config.params.sigma_extra)
-            params = dataclasses.replace(config.params, sigma=draw)
-            problem = build_problem(config.mesh, params)
-            yield problem, [random_rhs(problem, rng)]
+            yield config.mesh, dataclasses.replace(config.params, sigma=draw), rng, 1
         return
+    n_loads = config.sample_count if config.experiment == "random_rhs" else 1
     for mesh_cfg in config.study_meshes():
-        problem = build_problem(mesh_cfg, config.params)
-        rng = np.random.default_rng(config.seed)
-        n_loads = config.sample_count if config.experiment == "random_rhs" else 1
-        yield problem, [random_rhs(problem, rng) for _ in range(n_loads)]
+        yield mesh_cfg, config.params, np.random.default_rng(config.seed), n_loads
+
+
+def _operator_rows(config: ExperimentConfig, mesh, params, rng, n_loads) -> list:
+    """Build one operator, draw its loads and solve each with one
+    preconditioner per variant (the same loads for all).  Nothing of the
+    operator outlives its rows, so a study holds one at a time."""
+    problem = build_problem(mesh, params)
+    loads = [random_rhs(problem, rng) for _ in range(n_loads)]
+    rows = []
+    for variant in config.variants:
+        precond = make_preconditioner(problem, variant)
+        rows.extend(_solve_row(problem, precond, f, config, variant) for f in loads)
+    return rows
 
 
 def polylog_model(kappa0: float, hh0: float, hh: float) -> float:
@@ -387,17 +393,22 @@ def _model_table(config: ExperimentConfig, rows):
 
 
 def _summarize(rows):
-    its = np.array([r.iterations for r in rows], dtype=float)
-    kap = np.array([r.kappa_est for r in rows], dtype=float)
-    return {
-        "samples": len(rows),
-        "iter_min": float(its.min()),
-        "iter_mean": float(its.mean()),
-        "iter_max": float(its.max()),
-        "kappa_min": float(kap.min()),
-        "kappa_mean": float(kap.mean()),
-        "kappa_max": float(kap.max()),
-    }
+    """Iteration and estimate ranges, one summary per primal space in variant order."""
+    out = {}
+    for space in dict.fromkeys(r.primal_space for r in rows):
+        group = [r for r in rows if r.primal_space == space]
+        its = np.array([r.iterations for r in group], dtype=float)
+        kap = np.array([r.kappa_est for r in group], dtype=float)
+        out[space] = {
+            "samples": len(group),
+            "iter_min": float(its.min()),
+            "iter_mean": float(its.mean()),
+            "iter_max": float(its.max()),
+            "kappa_min": float(kap.min()),
+            "kappa_mean": float(kap.mean()),
+            "kappa_max": float(kap.max()),
+        }
+    return out
 
 
 def run_verify(config: ExperimentConfig):
@@ -418,9 +429,8 @@ def run_verify(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed)
     report = {}
     s_hat = denseref.dense_assembled_schur(dm, problem.operators.local_ops)
-    for variant in config.variants:
-        key = str(PrimalVariant.parse(variant).value)
-        precond = make_preconditioner(problem, variant)
+    for key in config.variants:
+        precond = make_preconditioner(problem, key)
         cset = precond.constraints
         m_dense = denseref.dense_bddc_matrix(
             dm, cset, problem.operators.local_ops, problem.operators.sigma
@@ -475,20 +485,15 @@ def run_verify(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig):
     """Run one study; returns (rows, extra) where extra depends on the study.
 
-    Every study is the same sweep: one preconditioner per (operator,
-    variant), one CSV row per load.  The same loads are reused across
-    variants so per-draw comparisons are meaningful.  ``refinement`` adds the
-    model table, the random studies a summary of their rows, and ``verify``
-    returns no rows but its dense cross-check report.  A solve that does not
-    converge raises :class:`SolverError`.
+    Every study is one sweep, one operator at a time: one preconditioner
+    per (operator, variant), one CSV row per load.  ``refinement`` adds the
+    model table, the random studies a summary of their rows per primal
+    space, and ``verify`` returns no rows but its dense cross-check report.
+    A solve that does not converge raises :class:`SolverError`.
     """
     if config.experiment == "verify":
         return [], run_verify(config)
-    rows = []
-    for problem, loads in _operators(config):
-        for variant in config.variants:
-            precond = make_preconditioner(problem, variant)
-            rows.extend(_solve_row(problem, precond, f, config, variant) for f in loads)
+    rows = [row for inputs in _operators(config) for row in _operator_rows(config, *inputs)]
     if config.experiment == "refinement":
         return rows, _model_table(config, rows)
     if config.experiment in ("random_rhs", "random_sigma"):
@@ -496,20 +501,10 @@ def run_experiment(config: ExperimentConfig):
     return rows, None
 
 
-def write_csv(rows, path_or_buf) -> None:
-    """Emit result rows under the fixed header (contract: exact column set)."""
-
-    def _write(fh):
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for row in rows:
-            w.writerow(row.as_csv())
-
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", newline="") as fh:
-            _write(fh)
-    else:
-        _write(path_or_buf)
+def write_csv(rows, path) -> None:
+    """Write :func:`rows_to_string` of the rows to ``path``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(rows_to_string(rows))
 
 
 def write_model_csv(model, path) -> None:
@@ -529,6 +524,9 @@ def write_model_csv(model, path) -> None:
 
 
 def rows_to_string(rows) -> str:
+    """Result rows under the fixed header (contract: exact column set)."""
     buf = io.StringIO()
-    write_csv(rows, buf)
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    w.writerows(row.as_csv() for row in rows)
     return buf.getvalue()

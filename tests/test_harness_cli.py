@@ -1,7 +1,9 @@
 import gc
-import io
 import json
+import re
+import shlex
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -25,6 +27,17 @@ from emibddc.harness import (
 
 
 TINY = {"mesh": {"cells_x": 1, "cells_y": 1, "cells_z": 1}, "variants": ["vef"]}
+
+
+@pytest.fixture
+def no_mesh(monkeypatch):
+    """Fail the test if it builds a mesh."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_mesh", fail)
+    monkeypatch.setattr(cli, "build_mesh", fail)
 
 
 def test_csv_header_is_frozen():
@@ -65,6 +78,12 @@ def test_from_dict_converts_containers():
     assert cfg.grids == ((2, 2, 1), (2, 2, 2))
     assert cfg.params.sigma == (20.0, 3.0, 3.0)
     assert cfg.levels == (0, 1)
+
+
+def test_variants_are_canonical_strings():
+    variants = ExperimentConfig.from_dict({"variants": ["VEF", "ve"]}).variants
+    assert variants == ("vef", "ve")
+    assert [type(v) for v in variants] == [str, str]  # not the enum
 
 
 def test_from_dict_leaves_input_unchanged():
@@ -160,27 +179,37 @@ def test_solve_rows_deterministic_modulo_timing():
     assert scrub(rows_a) == scrub(rows_b)
 
 
-def test_run_experiment_keeps_no_problem_alive(monkeypatch):
-    """Every ``Problem`` a study builds, with the factors and preconditioners
-    it holds, is garbage once the study returns: neither the rows, the
-    extras nor a cache keep one alive into the next study."""
+@pytest.mark.parametrize(
+    "spec, n_built",
+    [
+        ({"experiment": "random_sigma", "sample_count": 2}, 2),
+        ({"experiment": "weak_scaling", "grids": [[2, 1, 1], [2, 1, 1]]}, 2),
+        ({"experiment": "refinement", "levels": [0, 1]}, 2),
+        ({"experiment": "random_rhs", "sample_count": 2}, 1),  # one operator: a control
+    ],
+    ids=["random_sigma", "weak_scaling", "refinement", "random_rhs"],
+)
+def test_run_experiment_keeps_no_problem_alive(spec, n_built, monkeypatch):
+    """A study holds one operator at a time: every ``Problem`` it built
+    before, with the factors and preconditioners it holds, is garbage when
+    it builds the next, and all of them are once the study returns, so
+    neither the rows, the extras nor a cache keep one alive."""
     built = []
     original = harness.build_problem
 
     def tracking(*args):
+        gc.collect()
+        assert [ref() for ref in built] == [None] * len(built), "an earlier problem is alive"
         problem = original(*args)
         built.append(weakref.ref(problem))
         return problem
 
     monkeypatch.setattr(harness, "build_problem", tracking)
-    rows, extra = run_experiment(
-        ExperimentConfig.from_dict(
-            {"experiment": "random_sigma", "sample_count": 2, "mesh": {"cells_x": 2}}
-        )
-    )
+    spec = dict(spec, mesh={"cells_x": 2, "cell_edge_mm": 100})
+    rows, extra = run_experiment(ExperimentConfig.from_dict(spec))
     gc.collect()
-    assert len(built) == 2
-    assert [ref() for ref in built] == [None, None]
+    assert len(built) == n_built
+    assert [ref() for ref in built] == [None] * n_built
 
 
 def test_write_csv_and_rows_to_string(tmp_path):
@@ -190,9 +219,6 @@ def test_write_csv_and_rows_to_string(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
     assert text == rows_to_string([row])
-    buf = io.StringIO()
-    write_csv([row], buf)
-    assert buf.getvalue() == text
 
 
 def test_write_model_csv(tmp_path):
@@ -221,11 +247,13 @@ def test_cli_solve_exit_zero(tmp_path, capsys):
 
 
 def test_cli_solve_not_converged_exits_one(capsys):
-    rc = cli.main(["solve", "--set", "mesh.cells_x=2", "--maxiter", "3"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert "NOT converged" in captured.err
-    assert "iterations=" not in captured.out  # no row for a failed solve
+    for spelling in ([], ["--set", 'variants=["VEF"]']):
+        rc = cli.main(["solve", "--set", "mesh.cells_x=2", "--maxiter", "3", *spelling])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "NOT converged" in captured.err
+        assert "vef on 2x1x1" in captured.err  # the canonical name, however spelt
+        assert "iterations=" not in captured.out  # no row for a failed solve
 
 
 def test_cli_readme_random_sigma_command(tmp_path):
@@ -369,25 +397,35 @@ def test_cli_invalid_tol_or_maxiter_exits_two(flag, value, capsys):
         (["experiment", "refinement", "--set", "levels=[0,0]"], "strictly increasing"),
         (["experiment", "refinement", "--set", "levels=[]"], "levels must not be empty"),
         (["experiment", "weak-scaling", "--set", "grids=[]"], "grids must not be empty"),
+        (["solve", "--set", "params.sigma=5"], "sigma must be"),
     ],
 )
-def test_cli_bad_config_exits_two(argv, message, capsys, tmp_path, monkeypatch):
+def test_cli_bad_config_exits_two(argv, message, capsys, tmp_path, monkeypatch, no_mesh):
     """Unknown keys, bad seeds, meshes, model parameters, mistyped values,
     settings a study ignores, empty or unordered study axes, unreadable
     config files and unwritable or unused output paths are configuration
     errors, caught before any mesh is built."""
     monkeypatch.chdir(tmp_path)
-
-    def no_mesh(*args, **kwargs):
-        raise AssertionError("a mesh was built for a bad configuration")
-
-    monkeypatch.setattr(harness, "build_mesh", no_mesh)
-    monkeypatch.setattr(cli, "build_mesh", no_mesh)
     (tmp_path / "latin1.json").write_bytes('{"out": "caf\xe9.csv"}'.encode("latin-1"))
     rc = cli.main(argv)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message in err
+
+
+def test_readme_command_lines_load(tmp_path, monkeypatch, no_mesh):
+    """Every ``emibddc`` line of the README's command-line block, and its
+    JSON config file, loads as a configuration, with no mesh built."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    sh = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    argvs = [shlex.split(line)[1:] for line in sh.splitlines() if line.startswith("emibddc ")]
+    assert argvs, "no emibddc command under '## Command line'"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    argvs.append(["experiment", "refinement", "--config", "run.json"])
+    for argv in argvs:
+        cli._load_config(cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize(

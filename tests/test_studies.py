@@ -2,8 +2,8 @@
 
 Every study runs on a tiny mesh of 100 mm cells.  Each CSV field except the
 wall-clock ``solve_ms`` and each extra (the refinement model table, the
-random-study summaries) is pinned exactly, so a change to the study loops
-that alters what a study reports fails here.
+random-study summaries, one per primal space) is pinned exactly, so a
+change to the study loops that alters what a study reports fails here.
 """
 
 import pytest
@@ -92,13 +92,24 @@ GOLDEN = {
             "2x1x1,3,362,ve,13,4.741886068,3,-,2026," + SIGMA_REST,
         ],
         {
-            "samples": 6,
-            "iter_min": 13.0,
-            "iter_mean": 13.0,
-            "iter_max": 13.0,
-            "kappa_min": 4.73251053257053,
-            "kappa_mean": 4.7417631575722625,
-            "kappa_max": 4.750045197188235,
+            "vef": {
+                "samples": 3,
+                "iter_min": 13.0,
+                "iter_mean": 13.0,
+                "iter_max": 13.0,
+                "kappa_min": 4.733521901424033,
+                "kappa_mean": 4.742543739536128,
+                "kappa_max": 4.750045197188235,
+            },
+            "ve": {
+                "samples": 3,
+                "iter_min": 13.0,
+                "iter_mean": 13.0,
+                "iter_max": 13.0,
+                "kappa_min": 4.73251053257053,
+                "kappa_mean": 4.740982575608398,
+                "kappa_max": 4.7485511259938225,
+            },
         },
     ),
     "random_sigma": (
@@ -111,13 +122,24 @@ GOLDEN = {
             "2x1x1,3,362,ve,11,2.704282951,3,-,2026,extra=20|intra_min=11.0122|intra_max=12.6223",
         ],
         {
-            "samples": 6,
-            "iter_min": 10.0,
-            "iter_mean": 11.166666666666666,
-            "iter_max": 12.0,
-            "kappa_min": 2.7042829513095015,
-            "kappa_mean": 2.8613912996326705,
-            "kappa_max": 3.113716890330378,
+            "vef": {
+                "samples": 3,
+                "iter_min": 10.0,
+                "iter_mean": 11.0,
+                "iter_max": 12.0,
+                "kappa_min": 2.7111660244336293,
+                "kappa_mean": 2.863284444221556,
+                "kappa_max": 3.113716890330378,
+            },
+            "ve": {
+                "samples": 3,
+                "iter_min": 11.0,
+                "iter_mean": 11.333333333333334,
+                "iter_max": 12.0,
+                "kappa_min": 2.7042829513095015,
+                "kappa_mean": 2.8594981550437844,
+                "kappa_max": 3.1132053945400657,
+            },
         },
     ),
     "random_sigma_convex": (
@@ -126,13 +148,15 @@ GOLDEN = {
             "2x1x1,3,277,vef,11,2.780751319,4,-,2026,extra=20|intra_min=8.81411|intra_max=15.363",
         ],
         {
-            "samples": 2,
-            "iter_min": 10.0,
-            "iter_mean": 10.5,
-            "iter_max": 11.0,
-            "kappa_min": 2.6405091305066226,
-            "kappa_mean": 2.710630224955933,
-            "kappa_max": 2.780751319405243,
+            "vef": {
+                "samples": 2,
+                "iter_min": 10.0,
+                "iter_mean": 10.5,
+                "iter_max": 11.0,
+                "kappa_min": 2.6405091305066226,
+                "kappa_mean": 2.710630224955933,
+                "kappa_max": 2.780751319405243,
+            },
         },
     ),
 }
